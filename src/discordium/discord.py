@@ -11,10 +11,10 @@ tolerances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar, nnls
 
 from .errors import (
     BadConfig,
@@ -30,7 +30,6 @@ from .states import (
     ZERO_PROB_CUTOFF,
     BipartiteState,
     ConditionalEnsemble,
-    DensityMatrix,
     bipartite,
     conditional_ensemble,
     haar_unitary,
@@ -46,6 +45,17 @@ CERT_RESIDUAL_FACTOR = 1e-7
 
 # Restarts stop early once a basis this close to zero gap is found.
 _EARLY_STOP = 1e-10
+
+# Step multipliers the descent tries around its last accepted step, in one
+# batched evaluation.
+_LADDER = 2.0 ** np.arange(2, -10, -1)
+
+# Block eigenvalues at or below this are eigensolver noise (blocks of a unit
+# trace state have norm at most 1) and count as kernel in the gradient.
+_BLOCK_SUPPORT = 1e-14
+
+# Bases per batched gap evaluation in the qubit oracle's grid scan.
+_ORACLE_CHUNK = 4096
 
 # Consistency gates for the extraction path. These catch structural failure
 # (wrong basis, wrong grouping); the strict soundness check is the final
@@ -128,7 +138,34 @@ class PeelingTrace:
     eq_residuals: np.ndarray
 
 
-class _DephasingGap:
+class _BlockObjective:
+    """A function of the diagonal A-blocks B_a = u_a^dag r u_a of rho in basis U.
+
+    Here u_a is column a of U and r the state as an (A, B, A, B) tensor.
+    When df = sum_a tr(G_a dB_a), the Euclidean gradient with respect to u_a
+    is 2 M_a u_a with M_a = sum_bc (G_a)_cb r[:, b, :, c], so that
+    df = Re tr(dU^dag grad). Subclasses give ``batch`` (values on a stack of
+    bases of shape (g, d_a, d_a)) and ``value_grad``.
+    """
+
+    def __init__(self, mat: np.ndarray, d_a: int, d_b: int):
+        self.r = mat.reshape(d_a, d_b, d_a, d_b)
+
+    def blocks(self, us: np.ndarray) -> np.ndarray:
+        return np.einsum("gia,ibjc,gja->gabc", us.conj(), self.r, us)
+
+    def gradient(self, g: np.ndarray, u: np.ndarray) -> np.ndarray:
+        return 2.0 * np.einsum("acb,ibjc,ja->ia", g, self.r, u)
+
+    def __call__(self, u: np.ndarray) -> float:
+        return float(self.batch(u[np.newaxis])[0])
+
+
+def _xlog2x(w: np.ndarray) -> np.ndarray:
+    return np.where(w > 0.0, w * np.log2(np.where(w > 0.0, w, 1.0)), 0.0)
+
+
+class _DephasingGap(_BlockObjective):
     """f(U) = I(rho) - I(D_U(rho)), evaluated through the block shortcut.
 
     Dephasing leaves rho_B fixed, so the gap reduces to
@@ -138,39 +175,82 @@ class _DephasingGap:
     """
 
     def __init__(self, mat: np.ndarray, d_a: int, d_b: int):
-        self.d_a = d_a
-        self.d_b = d_b
-        self.r = mat.reshape(d_a, d_b, d_a, d_b)
-        rho_a = np.einsum("ibjb->ij", self.r)
-        self.const = spectrum_entropy(np.linalg.eigvalsh(rho_a)) - spectrum_entropy(
+        super().__init__(mat, d_a, d_b)
+        self.rho_a = np.einsum("ibjb->ij", self.r)
+        self.const = spectrum_entropy(np.linalg.eigvalsh(self.rho_a)) - spectrum_entropy(
             np.linalg.eigvalsh(mat)
         )
 
+    def _value(self, w: np.ndarray) -> np.ndarray:
+        return self.const - _xlog2x(w).sum(axis=(-2, -1)) + _xlog2x(w.sum(axis=-1)).sum(axis=-1)
+
     def batch(self, us: np.ndarray) -> np.ndarray:
-        """Evaluate on a stack of bases of shape (g, d_a, d_a)."""
-        blocks = np.einsum("gia,ibjc,gja->gabc", us.conj(), self.r, us)
-        w = np.clip(np.linalg.eigvalsh(blocks), 0.0, None)
-        p = w.sum(axis=2)
-        wl = np.where(w > 0.0, w * np.log2(np.where(w > 0.0, w, 1.0)), 0.0)
-        pl = np.where(p > 0.0, p * np.log2(np.where(p > 0.0, p, 1.0)), 0.0)
-        return self.const - wl.sum(axis=(1, 2)) + pl.sum(axis=1)
+        return self._value(np.clip(np.linalg.eigvalsh(self.blocks(us)), 0.0, None))
 
-    def __call__(self, u: np.ndarray) -> float:
-        return float(self.batch(u[np.newaxis])[0])
+    def value_grad(self, u: np.ndarray):
+        """f(U) and its gradient, with G_a = lg(p_a) I - lg B_a on the support.
+
+        G_a is zero on the kernel of B_a, so rank-deficient blocks give a
+        finite gradient; where the block rank is locally constant this is
+        the exact derivative.
+        """
+        w, v = np.linalg.eigh(self.blocks(u[np.newaxis])[0])
+        w = np.clip(w, 0.0, None)
+        on = w > _BLOCK_SUPPORT
+        g = np.log2(np.where(on, w.sum(axis=1, keepdims=True), 1.0) / np.where(on, w, 1.0))
+        g_mat = (v * g[:, np.newaxis, :]) @ v.conj().transpose(0, 2, 1)
+        return float(self._value(w)), self.gradient(g_mat, u)
 
 
-def _unitary_from_params(x: np.ndarray, dim: int, base: np.ndarray) -> np.ndarray:
-    """base @ exp(iH) for the Hermitian H packed into dim^2 real parameters."""
-    h = np.zeros((dim, dim), dtype=complex)
-    h[np.arange(dim), np.arange(dim)] = x[:dim]
-    iu, ju = np.triu_indices(dim, k=1)
-    n_off = iu.size
-    re = x[dim:dim + n_off]
-    im = x[dim + n_off:dim + 2 * n_off]
-    h[iu, ju] = re + 1j * im
-    h[ju, iu] = re - 1j * im
-    vals, vecs = np.linalg.eigh(h)
-    return base @ ((vecs * np.exp(1j * vals)) @ vecs.conj().T)
+class _OffdiagMass(_BlockObjective):
+    """m(U) = ||rho||^2 - sum_a ||B_a||^2, the off-diagonal block mass.
+
+    Values are summed over the off-diagonal blocks themselves, which keeps
+    full relative precision near m = 0; the gradient uses G_a = -2 B_a.
+    """
+
+    def batch(self, us: np.ndarray) -> np.ndarray:
+        rot = np.einsum("gia,ibjc,gjk->gabkc", us.conj(), self.r, us)
+        off = 1.0 - np.eye(us.shape[1])[:, np.newaxis, :, np.newaxis]
+        return np.sum(np.abs(rot * off) ** 2, axis=(1, 2, 3, 4))
+
+    def value_grad(self, u: np.ndarray):
+        return self(u), self.gradient(-2.0 * self.blocks(u[np.newaxis])[0], u)
+
+
+def _descend(obj: _BlockObjective, u: np.ndarray, max_iters: int, step_tol: float):
+    """Riemannian steepest descent of ``obj`` on U(d), starting at ``u``.
+
+    With A = U^dag grad, the step U <- U exp(i eta H), H = i (A - A^dag) / 2,
+    follows the negative Riemannian gradient (Abrudan, Eriksson and
+    Koivunen, IEEE TSP 56(3), 2008). The step eta is the best of a geometric
+    ladder around the last accepted step (around 1 at first), evaluated in
+    one batched call.
+    The descent stops by tolerance when ||H||_F <= ``step_tol``, when a step
+    lowers f by at most ``step_tol`` relative to |f|, or when no step on the
+    ladder lowers f; reaching ``max_iters`` steps is not convergence.
+    Returns ``(f, U, converged)``.
+    """
+    f, grad = obj.value_grad(u)
+    eta = 1.0
+    for _ in range(max_iters):
+        a = u.conj().T @ grad
+        h = 0.5j * (a - a.conj().T)
+        if np.linalg.norm(h) <= step_tol:
+            return f, u, True
+        lam, vecs = np.linalg.eigh(h)
+        top = float(np.max(np.abs(lam)))
+        etas = np.minimum(eta * _LADDER, np.pi / top)
+        cands = u @ (vecs * np.exp(1j * etas[:, np.newaxis] * lam)[:, np.newaxis]) @ vecs.conj().T
+        vals = obj.batch(cands)
+        k = int(np.argmin(vals))
+        if not vals[k] < f:
+            return f, u, True
+        f_old, eta, u = f, etas[k], cands[k]
+        f, grad = obj.value_grad(u)
+        if 2.0 * (f_old - f) <= step_tol * (abs(f_old) + abs(f)) + 1e-20:
+            return f, u, True
+    return f, u, False
 
 
 def _check_config(cfg: DiscordConfig) -> None:
@@ -185,9 +265,9 @@ def _check_config(cfg: DiscordConfig) -> None:
 def discord(s: BipartiteState, cfg: DiscordConfig | None = None) -> DiscordResult:
     """Minimize the dephasing mutual-information gap over A bases.
 
-    Multi-start local minimization: the unitary is parametrized as
-    U0 exp(iH) with H Hermitian (d^2 real parameters) and minimized with
-    Powell's derivative-free method. The first start is the eigenbasis of
+    Multi-start local minimization: from each start the basis follows the
+    Riemannian steepest descent U <- U exp(i eta H) of the gap on U(d), with
+    the gap's analytic gradient. The first start is the eigenbasis of
     rho_A (exact for generic classical-quantum states); the remaining starts
     are Haar random from the seed. Restarts stop early once a basis with
     numerically zero gap is found. With ``enlarge`` the A factor is first
@@ -204,34 +284,16 @@ def discord(s: BipartiteState, cfg: DiscordConfig | None = None) -> DiscordResul
     work = embed_state(s, s.d_a * s.d_a) if cfg.enlarge else s
     dim = work.d_a
     gap = _DephasingGap(work.mat, work.d_a, work.d_b)
-    rho_a = np.einsum("ibjb->ij", work.mat.reshape(dim, work.d_b, dim, work.d_b))
-    smart_start = np.linalg.eigh(rho_a)[1]
+    smart_start = np.linalg.eigh(gap.rho_a)[1]
     rng = np.random.default_rng(cfg.seed)
 
-    n_params = dim * dim
-    x0 = np.zeros(n_params)
-    best_val = np.inf
-    best_u = smart_start
-    best_ok = False
-    used = 0
+    best_val, best_u, best_ok, used = np.inf, smart_start, False, 0
     for restart in range(cfg.restarts):
         u0 = smart_start if restart == 0 else haar_unitary(dim, rng)
-        res = minimize(
-            lambda x: gap(_unitary_from_params(x, dim, u0)),
-            x0,
-            method="Powell",
-            options={
-                "maxiter": cfg.max_iters,
-                "maxfev": 200_000,
-                "xtol": 1e-10,
-                "ftol": cfg.step_tol,
-            },
-        )
+        val, u, ok = _descend(gap, u0, cfg.max_iters, cfg.step_tol)
         used += 1
-        if res.fun < best_val:
-            best_val = float(res.fun)
-            best_u = _unitary_from_params(res.x, dim, u0)
-            best_ok = bool(res.success)
+        if val < best_val:
+            best_val, best_u, best_ok = val, u, ok
         if best_val < _EARLY_STOP:
             break
 
@@ -264,33 +326,35 @@ def qubit_discord_oracle(s: BipartiteState, grid: int = 400) -> float:
         raise WrongDimension(f"oracle requires d_a = 2, got {s.d_a}")
     if grid < 8:
         raise BadConfig(f"grid must be >= 8, got {grid}")
+    from scipy.optimize import minimize_scalar
+
     gap = _DephasingGap(s.mat, 2, s.d_b)
 
     thetas = np.linspace(0.0, np.pi, grid)
     phis = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
     tg, pg = np.meshgrid(thetas, phis, indexing="ij")
-    us = _bloch_bases(tg.ravel(), pg.ravel())
-    vals = gap.batch(us)
+    ts, ps = tg.ravel(), pg.ravel()
+    vals = np.concatenate([
+        gap.batch(_bloch_bases(ts[i:i + _ORACLE_CHUNK], ps[i:i + _ORACLE_CHUNK]))
+        for i in range(0, ts.size, _ORACLE_CHUNK)
+    ])
     k = int(np.argmin(vals))
     best = float(vals[k])
-    t0, p0 = tg.ravel()[k], pg.ravel()[k]
+    t0, p0 = ts[k], ps[k]
 
     def f_angles(t, p):
         return gap(_bloch_bases(np.array([t]), np.array([p]))[0])
+
+    def line_min(f, x, h):
+        return minimize_scalar(f, bounds=(x - 2 * h, x + 2 * h), method="bounded",
+                               options={"xatol": 1e-12})
 
     ht = thetas[1] - thetas[0]
     hp = phis[1] - phis[0]
     t, p = float(t0), float(p0)
     for _ in range(3):
-        res_t = minimize_scalar(
-            lambda x: f_angles(x, p), bounds=(t - 2 * ht, t + 2 * ht), method="bounded",
-            options={"xatol": 1e-12},
-        )
-        t = float(res_t.x)
-        res_p = minimize_scalar(
-            lambda x: f_angles(t, x), bounds=(p - 2 * hp, p + 2 * hp), method="bounded",
-            options={"xatol": 1e-12},
-        )
+        t = float(line_min(lambda x: f_angles(x, p), t, ht).x)
+        res_p = line_min(lambda x: f_angles(t, x), p, hp)
         p = float(res_p.x)
         best = min(best, float(res_p.fun))
     return best
@@ -348,11 +412,8 @@ def equality_residuals(ensemble: ConditionalEnsemble, weights: np.ndarray,
     for a in range(n):
         if not eligible[a] or ensemble.states[a] is None:
             continue
-        combo = np.zeros_like(ensemble.states[a].mat)
-        for a2, st in enumerate(ensemble.states):
-            if a2 == a or st is None:
-                continue
-            combo += weights[a, a2] * st.mat
+        combo = sum(weights[a, a2] * st.mat for a2, st in enumerate(ensemble.states)
+                    if a2 != a and st is not None)
         out[a] = float(np.linalg.norm(ensemble.states[a].mat - combo))
     return out
 
@@ -367,11 +428,13 @@ def _convex_gap(target: np.ndarray, others: list) -> float:
     Solved as nonnegative least squares with a penalty row enforcing that
     the weights sum to one.
     """
+    from scipy.optimize import nnls
+
     if not others:
         return np.inf
     penalty = 1e3
-    a = np.stack([_real_vec(o) for o in others], axis=1)
-    a = np.vstack([a, penalty * np.ones((1, len(others)))])
+    a = np.vstack([np.stack([_real_vec(o) for o in others], axis=1),
+                   penalty * np.ones((1, len(others)))])
     b = np.concatenate([_real_vec(target), [penalty]])
     x, _ = nnls(a, b)
     total = float(x.sum())
@@ -431,13 +494,8 @@ def peel_extremal(ensemble: ConditionalEnsemble, weights: np.ndarray,
             extremal = list(working)
         round_indices = sorted(a for g in extremal for a in groups[g])
         rounds.append(tuple(round_indices))
-        for g in extremal:
-            for g2 in working:
-                if g2 == g:
-                    continue
-                for a in groups[g]:
-                    for a2 in groups[g2]:
-                        pairs.add((min(a, a2), max(a, a2)))
+        pairs.update((min(a, a2), max(a, a2)) for g in extremal for g2 in working
+                     if g2 != g for a in groups[g] for a2 in groups[g2])
         working = [g for g in working if g not in extremal]
 
     return PeelingTrace(
@@ -496,12 +554,7 @@ def certify_classical(s: BipartiteState, tol: float = ZERO_DISCORD_TOL,
     :class:`CertificateInconsistent`.
     """
     cfg = cfg or DiscordConfig()
-    if cfg.enlarge:
-        cfg = DiscordConfig(
-            restarts=cfg.restarts, max_iters=cfg.max_iters,
-            step_tol=cfg.step_tol, enlarge=False, seed=cfg.seed,
-        )
-    result = discord(s, cfg)
+    result = discord(s, replace(cfg, enlarge=False))
     if result.value > tol:
         return NotClassical(
             value=result.value,
@@ -539,12 +592,7 @@ def certify_classical(s: BipartiteState, tol: float = ZERO_DISCORD_TOL,
                 f"should vanish but exceeds {_CROSS_TOL:.1e}"
             )
 
-    projectors = []
-    for group in trace.groups:
-        sel = np.zeros((s.d_a, s.d_a))
-        for a in group:
-            sel[a, a] = 1.0
-        projectors.append(sqrt_a @ sel @ sqrt_a)
+    projectors = [sqrt_a[:, list(g)] @ sqrt_a[list(g), :] for g in trace.groups]
     for i in range(len(projectors)):
         for j in range(i + 1, len(projectors)):
             cross = float(np.linalg.norm(projectors[i] @ projectors[j]))
@@ -557,15 +605,13 @@ def certify_classical(s: BipartiteState, tol: float = ZERO_DISCORD_TOL,
     part_sizes = []
     for i, p_mat in enumerate(projectors):
         vals, vecs = np.linalg.eigh(0.5 * (p_mat + p_mat.conj().T))
-        cut = support_cutoff(vals)
-        keep = np.nonzero(vals > cut)[0][::-1]
+        keep = np.nonzero(vals > support_cutoff(vals))[0][::-1]
         if len(keep) == 0:
             raise CertificateInconsistent(
                 f"group projector {i} has numerically empty support"
             )
         part_sizes.append(len(keep))
-        for k in keep:
-            w_cols.append(vecs[:, k])
+        w_cols.extend(vecs[:, keep].T)
     if not w_cols:
         raise CertificateInconsistent("no supported group projectors found")
     w = _complete_basis(np.array(w_cols).T, s.d_a)
@@ -582,11 +628,8 @@ def certify_classical(s: BipartiteState, tol: float = ZERO_DISCORD_TOL,
             "in the extracted basis"
         )
 
-    partition = []
-    offset = 0
-    for size in part_sizes:
-        partition.append(tuple(range(offset, offset + size)))
-        offset += size
+    offsets = [0, *accumulate(part_sizes)]
+    partition = [tuple(range(lo, hi)) for lo, hi in zip(offsets, offsets[1:])]
 
     final = conditional_ensemble(_rotate_a(s, basis), zero_prob_cutoff=prob_cutoff)
     conditional_states = []
@@ -626,68 +669,30 @@ def certify_classical(s: BipartiteState, tol: float = ZERO_DISCORD_TOL,
 def _complete_basis(cols: np.ndarray, dim: int) -> np.ndarray:
     """Orthonormalize near-orthonormal columns and complete them to a unitary.
 
-    Modified Gram-Schmidt keeps each column close to its input; the kernel
-    directions are filled from the eigenvectors of the complement projector.
+    Householder QR orthonormalizes the columns in order (each stays close
+    to its input, phase included) and its complete Q fills the kernel.
     """
-    q_cols: list[np.ndarray] = []
-    for j in range(cols.shape[1]):
-        v = cols[:, j].astype(complex)
-        for u in q_cols:
-            v = v - u * (u.conj() @ v)
-        nrm = float(np.linalg.norm(v))
-        if nrm < 1e-6:
-            raise CertificateInconsistent(
-                "group eigenvectors are not linearly independent"
-            )
-        q_cols.append(v / nrm)
-    if len(q_cols) < dim:
-        q = np.array(q_cols).T
-        vals, vecs = np.linalg.eigh(np.eye(dim) - q @ q.conj().T)
-        for j in range(dim):
-            if vals[j] > 0.5:
-                v = vecs[:, j].astype(complex)
-                for u in q_cols:
-                    v = v - u * (u.conj() @ v)
-                q_cols.append(v / float(np.linalg.norm(v)))
-    if len(q_cols) != dim:
-        raise CertificateInconsistent(
-            f"basis completion produced {len(q_cols)} of {dim} columns"
-        )
-    return np.array(q_cols).T
+    k = cols.shape[1]
+    q, r = np.linalg.qr(cols, mode="complete")
+    diag = np.diag(r)
+    if k > dim or np.min(np.abs(diag)) < 1e-6:
+        raise CertificateInconsistent("group eigenvectors are not linearly independent")
+    q[:, :k] *= diag / np.abs(diag)
+    return q
 
 
 def _rotate_a(s: BipartiteState, u: np.ndarray) -> BipartiteState:
     rot = kron(u.conj().T, np.eye(s.d_b))
     mat = rot @ s.mat @ rot.conj().T
-    return BipartiteState(
-        state=DensityMatrix(
-            mat=0.5 * (mat + mat.conj().T),
-            spectrum=s.state.spectrum,
-            support_rank=s.state.support_rank,
-        ),
-        d_a=s.d_a,
-        d_b=s.d_b,
-    )
+    return replace(s, state=replace(s.state, mat=0.5 * (mat + mat.conj().T)))
 
 
 def _offdiag_residual(s: BipartiteState, basis: np.ndarray) -> float:
     """Largest Frobenius norm over off-diagonal blocks in the given basis."""
-    rotated = _rotate_a(s, basis)
-    r = rotated.mat.reshape(s.d_a, s.d_b, s.d_a, s.d_b)
-    worst = 0.0
-    for a in range(s.d_a):
-        for a2 in range(s.d_a):
-            if a != a2:
-                worst = max(worst, float(np.linalg.norm(r[a, :, a2, :])))
-    return worst
-
-
-def _offdiag_mass(mat: np.ndarray, d_a: int, d_b: int, u: np.ndarray) -> float:
-    rot = np.kron(u.conj().T, np.eye(d_b))
-    m = (rot @ mat @ rot.conj().T).reshape(d_a, d_b, d_a, d_b)
-    total = float(np.sum(np.abs(m) ** 2))
-    diag = float(sum(np.sum(np.abs(m[a, :, a, :]) ** 2) for a in range(d_a)))
-    return total - diag
+    r = _rotate_a(s, basis).mat.reshape(s.d_a, s.d_b, s.d_a, s.d_b)
+    norms = np.linalg.norm(r, axis=(1, 3))
+    np.fill_diagonal(norms, 0.0)
+    return float(np.max(norms))
 
 
 def _polish_basis(s: BipartiteState, basis: np.ndarray) -> np.ndarray:
@@ -695,14 +700,6 @@ def _polish_basis(s: BipartiteState, basis: np.ndarray) -> np.ndarray:
 
     The constructive extraction lands within optimizer accuracy of an exact
     block-diagonalizing basis; the mass function has an exact zero there, so
-    a short derivative-free descent recovers it to near machine precision.
+    a short gradient descent recovers it to near machine precision.
     """
-    dim = s.d_a
-    res = minimize(
-        lambda x: _offdiag_mass(s.mat, s.d_a, s.d_b,
-                                _unitary_from_params(x, dim, basis)),
-        np.zeros(dim * dim),
-        method="Powell",
-        options={"maxiter": 60, "maxfev": 100_000, "xtol": 1e-12, "ftol": 1e-16},
-    )
-    return _unitary_from_params(res.x, dim, basis)
+    return _descend(_OffdiagMass(s.mat, s.d_a, s.d_b), basis, 60, 1e-16)[1]

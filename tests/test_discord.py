@@ -1,10 +1,22 @@
+import importlib
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from conftest import bell_state, random_bipartite, random_density
+import discordium
+from conftest import bell_state, random_bipartite, random_density, random_hermitian
 from discordium.errors import BadConfig, NotAtEquality, WrongDimension
 from discordium.channels import dephase
 from discordium.discord import (
+    _DephasingGap,
+    _OffdiagMass,
+    _descend,
+    _offdiag_residual,
+    _polish_basis,
     ClassicalityCertificate,
     DiscordConfig,
     NotClassical,
@@ -107,6 +119,116 @@ class TestDiscord:
             discord(s, DiscordConfig(step_tol=0.0))
 
 
+def pure_state(d_a, d_b, seed):
+    """Random pure state and its exact discord S(rho_A) from the Schmidt weights."""
+    rng = np.random.default_rng(seed)
+    psi = rng.standard_normal(d_a * d_b) + 1j * rng.standard_normal(d_a * d_b)
+    psi /= np.linalg.norm(psi)
+    schmidt = np.linalg.svd(psi.reshape(d_a, d_b), compute_uv=False) ** 2
+    schmidt = schmidt[schmidt > 0.0]
+    return bipartite(np.outer(psi, psi.conj()), d_a, d_b), float(-np.sum(schmidt * np.log2(schmidt)))
+
+
+class TestPureStateOracle:
+    @pytest.mark.parametrize("dims", [(3, 3), (4, 4)])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_pure_state_discord_is_entanglement_entropy(self, dims, seed):
+        s, exact = pure_state(*dims, seed=900 + seed)
+        r = discord(s)
+        assert abs(r.value - exact) <= 1e-8
+        assert r.converged
+
+
+def gradient_states():
+    """(name, matrix, d_a, d_b): full-rank and rank-deficient inputs."""
+    rng = np.random.default_rng(31)
+    pure, _ = pure_state(3, 2, seed=32)
+    return [
+        ("full2x2", random_density(4, 4, rng), 2, 2),
+        ("full3x2", random_density(6, 6, rng), 3, 2),
+        ("rank2_3x3", random_density(9, 2, rng), 3, 3),
+        ("pure3x2", pure.mat, 3, 2),
+    ]
+
+
+class TestAnalyticGradient:
+    H = 1e-6
+
+    @pytest.mark.parametrize("case", gradient_states(), ids=lambda c: c[0])
+    def test_gap_euclidean_gradient(self, case):
+        _, mat, d_a, d_b = case
+        gap = _DephasingGap(mat, d_a, d_b)
+        u = haar_unitary(d_a, np.random.default_rng(33))
+        value, grad = gap.value_grad(u)
+        assert abs(value - gap(u)) <= 1e-12
+        for i in range(d_a):
+            for a in range(d_a):
+                for unit, part in ((1.0, grad.real), (1j, grad.imag)):
+                    e = np.zeros((d_a, d_a), dtype=complex)
+                    e[i, a] = unit * self.H
+                    fd = (gap(u + e) - gap(u - e)) / (2 * self.H)
+                    assert abs(fd - part[i, a]) <= 1e-6 * max(1.0, abs(fd))
+
+    @pytest.mark.parametrize("case", gradient_states(), ids=lambda c: c[0])
+    @pytest.mark.parametrize("objective", [_DephasingGap, _OffdiagMass])
+    def test_riemannian_directional_derivative(self, case, objective):
+        # Along U exp(tX) with X skew-Hermitian, df/dt = Re tr(X^dag U^dag grad).
+        _, mat, d_a, d_b = case
+        f = objective(mat, d_a, d_b)
+        rng = np.random.default_rng(34)
+        u = haar_unitary(d_a, rng)
+        _, grad = f.value_grad(u)
+        for _ in range(3):
+            x = 1j * random_hermitian(d_a, rng)
+            slope = float(np.real(np.vdot(x, u.conj().T @ grad)))
+            fd = (f(u @ expm(self.H * x)) - f(u @ expm(-self.H * x))) / (2 * self.H)
+            assert abs(fd - slope) <= 1e-6 * max(1.0, abs(fd))
+
+    def test_offdiag_mass_matches_block_formula(self):
+        rng = np.random.default_rng(35)
+        mat = random_density(6, 6, rng)
+        mass = _OffdiagMass(mat, 3, 2)
+        u = haar_unitary(3, rng)
+        blocks = mass.blocks(u[np.newaxis])
+        expected = np.linalg.norm(mat) ** 2 - np.sum(np.abs(blocks) ** 2)
+        assert abs(mass(u) - expected) <= 1e-14
+
+    def test_pure_state_gradient_vanishes(self):
+        # The gap of a pure state is S(rho_A) in every basis, so the descent
+        # stops on the zero gradient without trying a step.
+        s, exact = pure_state(3, 3, seed=36)
+        gap = _DephasingGap(s.mat, 3, 3)
+        u = haar_unitary(3, np.random.default_rng(37))
+        value, grad = gap.value_grad(u)
+        assert np.all(np.isfinite(grad)) and np.linalg.norm(grad) <= 1e-12
+
+        def no_line_search(us):
+            raise AssertionError("line search ran at a zero gradient")
+
+        gap.batch = no_line_search
+        f, u_out, converged = _descend(gap, u, 200, 1e-10)
+        assert converged and u_out is u
+        assert abs(f - exact) <= 1e-12
+
+
+class TestDescentStopping:
+    def test_iteration_cap_is_not_convergence(self):
+        s = bipartite(random_state(4, 4, seed=501).mat, 2, 2)
+        capped = discord(s, DiscordConfig(restarts=1, max_iters=1))
+        full = discord(s, DiscordConfig(restarts=1))
+        assert not capped.converged
+        assert full.converged
+        assert full.value <= capped.value + 1e-12
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    code = "import sys, discordium; print('scipy.optimize' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(discordium.__file__))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "False"
+
+
 class TestQubitOracle:
     def test_cq_state_zero(self):
         s = random_cq_state(2, 2, seed=21)
@@ -125,6 +247,13 @@ class TestQubitOracle:
     def test_wrong_dimension(self):
         with pytest.raises(WrongDimension):
             qubit_discord_oracle(random_cq_state(3, 2, seed=0))
+
+    def test_chunked_scan_matches_single_batch(self, monkeypatch):
+        s = bipartite(random_state(4, 4, seed=510).mat, 2, 2)
+        chunked = qubit_discord_oracle(s, grid=150)
+        monkeypatch.setattr(importlib.import_module("discordium.discord"), "_ORACLE_CHUNK",
+                            150 * 150)
+        assert qubit_discord_oracle(s, grid=150) == chunked
 
 
 def cq_ensemble_data(s, basis):
@@ -270,6 +399,17 @@ class TestCertify:
         assert isinstance(cert, ClassicalityCertificate)
         assert len(cert.partition) in (2, 3)
         assert cert.residual <= 1e-7 * np.linalg.norm(s.mat)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (4, 3)])
+    def test_polish_sharpens_perturbed_basis(self, dims):
+        # The search lands close enough that certification rarely polishes,
+        # so drive the polish directly from a basis rotated off the exact one.
+        s, basis, _, _ = random_cq_state_with_parts(*dims, seed=41)
+        start = basis @ expm(1e-6j * random_hermitian(dims[0], np.random.default_rng(42)))
+        assert _offdiag_residual(s, start) > 1e-8
+        polished = _polish_basis(s, start)
+        assert _offdiag_residual(s, polished) <= 1e-10
+        assert np.abs(polished.conj().T @ polished - np.eye(dims[0])).max() <= 1e-12
 
     def test_witness_for_generic_entangled_state(self):
         s = bipartite(random_state(4, 4, seed=77).mat, 2, 2)
