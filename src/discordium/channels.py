@@ -18,16 +18,16 @@ from .errors import (
     DimensionMismatch,
     InvalidPovm,
     NotIsometry,
-    NotPovm,
     NotRankOne,
-    NotUnitary,
 )
 from .linalg import (
+    block_diag,
+    conjugate_a,
     hermitian_eig,
     kron,
     matrix_function_on_support,
+    require_unitary,
     support_cutoff,
-    unitarity_defect,
 )
 from .states import BipartiteState, DensityMatrix, validate_density
 
@@ -65,7 +65,7 @@ class KrausChannel(KrausMap):
         acc = sum(k.conj().T @ k for k in self.kraus_ops)
         defect = float(np.linalg.norm(acc - np.eye(self.in_dim)))
         if defect > COMPLETENESS_TOL:
-            raise NotPovm(
+            raise InvalidPovm(
                 f"completeness defect {defect:.3e} exceeds {COMPLETENESS_TOL:.1e}"
             )
 
@@ -101,12 +101,7 @@ def dephasing_channel(basis: np.ndarray, d_a: int, d_b: int) -> KrausChannel:
     Kraus operators are (|u_a><u_a| (x) I_B) for the basis columns |u_a>.
     Applying it twice equals applying it once.
     """
-    u = np.asarray(basis, dtype=complex)
-    if u.shape != (d_a, d_a):
-        raise DimensionMismatch(f"basis shape {u.shape} != ({d_a}, {d_a})")
-    defect = unitarity_defect(u)
-    if defect > 1e-10:
-        raise NotUnitary(f"unitarity defect {defect:.3e} exceeds 1e-10")
+    u = require_unitary(basis, d_a)
     eye_b = np.eye(d_b)
     ops = []
     for a in range(d_a):
@@ -117,16 +112,14 @@ def dephasing_channel(basis: np.ndarray, d_a: int, d_b: int) -> KrausChannel:
 
 
 def dephase(s: BipartiteState, basis: np.ndarray) -> np.ndarray:
-    """Matrix of the dephased state, computed by zeroing off-diagonal blocks."""
-    u = np.asarray(basis, dtype=complex)
-    rot = kron(u.conj().T, np.eye(s.d_b))
-    r = (rot @ s.mat @ rot.conj().T).reshape(s.d_a, s.d_b, s.d_a, s.d_b)
-    diag = np.zeros_like(r)
+    """Matrix of the dephased state, computed by zeroing off-diagonal blocks.
+
+    ``basis`` must be a d_a x d_a unitary (see :func:`require_unitary`).
+    """
+    u = require_unitary(basis, s.d_a)
+    r = conjugate_a(s.mat, u).reshape(s.d_a, s.d_b, s.d_a, s.d_b)
     idx = np.arange(s.d_a)
-    diag[idx, :, idx, :] = r[idx, :, idx, :]
-    m = diag.reshape(s.mat.shape)
-    rot_back = kron(u, np.eye(s.d_b))
-    return rot_back @ m @ rot_back.conj().T
+    return conjugate_a(block_diag(r[idx, :, idx, :]), u.conj().T)
 
 
 # ---------------------------------------------------------------------------
@@ -187,10 +180,7 @@ def povm(effects, labels=None) -> Povm:
 
 def projective_povm(basis: np.ndarray) -> Povm:
     """Complete projective POVM onto the columns of a unitary."""
-    u = np.asarray(basis, dtype=complex)
-    defect = unitarity_defect(u)
-    if defect > 1e-10:
-        raise NotUnitary(f"unitarity defect {defect:.3e} exceeds 1e-10")
+    u = require_unitary(basis)
     return povm([np.outer(u[:, a], u[:, a].conj()) for a in range(u.shape[0])])
 
 
@@ -355,7 +345,7 @@ def povm_to_isometry(p: Povm) -> np.ndarray:
     iota = np.array([v.conj() for v in vectors])
     defect = float(np.linalg.norm(iota.conj().T @ iota - np.eye(p.dim)))
     if defect > 1e-10:
-        raise NotPovm(f"iota† iota defect {defect:.3e} exceeds 1e-10")
+        raise InvalidPovm(f"iota† iota defect {defect:.3e} exceeds 1e-10")
     return iota
 
 
@@ -378,10 +368,8 @@ def embed_state(s: BipartiteState, enlarged_dim: int) -> BipartiteState:
         raise DimensionMismatch(
             f"enlarged dimension {enlarged_dim} smaller than d_a {s.d_a}"
         )
-    iota = np.eye(enlarged_dim, s.d_a)
-    big = kron(iota, np.eye(s.d_b))
     return BipartiteState(
-        state=validate_density(big @ s.mat @ big.conj().T),
+        state=validate_density(conjugate_a(s.mat, np.eye(s.d_a, enlarged_dim))),
         d_a=enlarged_dim,
         d_b=s.d_b,
     )

@@ -23,8 +23,8 @@ from .errors import (
     WrongDimension,
 )
 from .channels import dephase, embed_state
-from .linalg import kron, matrix_function_on_support, support_cutoff, trace_distance
-from .measures import mutual_information, spectrum_entropy
+from .linalg import matrix_function_on_support, partial_trace, support_cutoff, trace_distance
+from .measures import mutual_information
 from .petz import recovery_residual
 from .states import (
     ZERO_PROB_CUTOFF,
@@ -33,6 +33,7 @@ from .states import (
     bipartite,
     conditional_ensemble,
     haar_unitary,
+    in_basis,
 )
 
 # Default tolerances: discord-zero threshold in bits, conditional-state
@@ -176,10 +177,11 @@ class _DephasingGap(_BlockObjective):
 
     def __init__(self, mat: np.ndarray, d_a: int, d_b: int):
         super().__init__(mat, d_a, d_b)
-        self.rho_a = np.einsum("ibjb->ij", self.r)
-        self.const = spectrum_entropy(np.linalg.eigvalsh(self.rho_a)) - spectrum_entropy(
-            np.linalg.eigvalsh(mat)
-        )
+        self.rho_a = partial_trace(mat, d_a, d_b)
+        # S(rho_A) - S(rho_AB) keeps every clipped eigenvalue, as the block
+        # terms do, so a cq state reads a gap of zero at its exact basis.
+        w_ab, w_a = (np.clip(np.linalg.eigvalsh(x), 0.0, None) for x in (mat, self.rho_a))
+        self.const = float(_xlog2x(w_ab).sum() - _xlog2x(w_a).sum())
 
     def _value(self, w: np.ndarray) -> np.ndarray:
         return self.const - _xlog2x(w).sum(axis=(-2, -1)) + _xlog2x(w.sum(axis=-1)).sum(axis=-1)
@@ -563,10 +565,8 @@ def certify_classical(s: BipartiteState, tol: float = ZERO_DISCORD_TOL,
         )
 
     u = result.best_basis
-    rotated = _rotate_a(s, u)
-    rho_a = np.einsum(
-        "ibjb->ij", rotated.mat.reshape(s.d_a, s.d_b, s.d_a, s.d_b)
-    )
+    rotated = in_basis(s, u)
+    rho_a = partial_trace(rotated.mat, s.d_a, s.d_b)
     # Indices outside the numerical support of rho_A carry no usable
     # conditional state and are excluded from the partition outright; their
     # contribution is bounded by the support cutoff and stays far below the
@@ -631,7 +631,7 @@ def certify_classical(s: BipartiteState, tol: float = ZERO_DISCORD_TOL,
     offsets = [0, *accumulate(part_sizes)]
     partition = [tuple(range(lo, hi)) for lo, hi in zip(offsets, offsets[1:])]
 
-    final = conditional_ensemble(_rotate_a(s, basis), zero_prob_cutoff=prob_cutoff)
+    final = conditional_ensemble(in_basis(s, basis), zero_prob_cutoff=prob_cutoff)
     conditional_states = []
     for part, group in zip(partition, trace.groups):
         rep = None
@@ -681,15 +681,9 @@ def _complete_basis(cols: np.ndarray, dim: int) -> np.ndarray:
     return q
 
 
-def _rotate_a(s: BipartiteState, u: np.ndarray) -> BipartiteState:
-    rot = kron(u.conj().T, np.eye(s.d_b))
-    mat = rot @ s.mat @ rot.conj().T
-    return replace(s, state=replace(s.state, mat=0.5 * (mat + mat.conj().T)))
-
-
 def _offdiag_residual(s: BipartiteState, basis: np.ndarray) -> float:
     """Largest Frobenius norm over off-diagonal blocks in the given basis."""
-    r = _rotate_a(s, basis).mat.reshape(s.d_a, s.d_b, s.d_a, s.d_b)
+    r = in_basis(s, basis).mat.reshape(s.d_a, s.d_b, s.d_a, s.d_b)
     norms = np.linalg.norm(r, axis=(1, 3))
     np.fill_diagonal(norms, 0.0)
     return float(np.max(norms))

@@ -13,12 +13,12 @@ class NotHermitian(DiscordiumError):
     """Operator deviates from its conjugate transpose beyond tolerance."""
 
 
-class NegativeEigenvalue(DiscordiumError):
-    """A nominally positive semidefinite operator has a negative eigenvalue."""
-
-
 class NotPositive(DiscordiumError):
-    """Candidate state has an eigenvalue below the allowed tolerance."""
+    """A candidate state or nominally positive semidefinite operator has an
+    eigenvalue below the allowed tolerance."""
+
+
+NegativeEigenvalue = NotPositive
 
 
 class TraceNotOne(DiscordiumError):
@@ -46,15 +46,17 @@ class NotIsometry(DiscordiumError):
 
 
 class InvalidPovm(DiscordiumError):
-    """Effects are not a valid POVM (positivity or completeness violated)."""
+    """Effects are not a valid POVM (positivity or completeness violated).
+
+    Kraus completeness sum_i K_i† K_i = I is the same invariant.
+    """
+
+
+NotPovm = InvalidPovm
 
 
 class NotRankOne(DiscordiumError):
     """POVM effect has rank larger than one."""
-
-
-class NotPovm(DiscordiumError):
-    """Operator family fails the POVM completeness test."""
 
 
 class BadConfig(DiscordiumError):

@@ -14,8 +14,9 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    NegativeEigenvalue,
     NotHermitian,
+    NotPositive,
+    NotUnitary,
     ValidationError,
 )
 
@@ -47,25 +48,29 @@ def as_square_matrix(m) -> np.ndarray:
     return a
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    """Largest entrywise deviation of ``m`` from its conjugate transpose."""
-    return float(np.max(np.abs(m - m.conj().T), initial=0.0))
-
-
 def require_hermitian(m, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    """Return the symmetrized matrix, or raise if the defect exceeds ``tol``."""
+    """Return the symmetrized matrix, or raise if max |m - m†| exceeds ``tol``."""
     a = as_square_matrix(m)
-    defect = hermiticity_defect(a)
+    defect = float(np.max(np.abs(a - a.conj().T), initial=0.0))
     if defect > tol:
         raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds {tol:.1e}")
     return 0.5 * (a + a.conj().T)
 
 
-def unitarity_defect(u: np.ndarray) -> float:
-    """Frobenius norm of ``u† u - I``."""
-    a = as_square_matrix(u)
-    eye = np.eye(a.shape[0])
-    return float(np.linalg.norm(a.conj().T @ a - eye))
+def require_unitary(u, dim: int | None = None) -> np.ndarray:
+    """Return ``u`` as a complex array, or raise if it is not a unitary.
+
+    With ``dim`` the shape must be (dim, dim) (:class:`DimensionMismatch`);
+    a Frobenius defect ||u† u - I|| above 1e-10 raises :class:`NotUnitary`.
+    """
+    a = np.asarray(u, dtype=complex)
+    if dim is not None and a.shape != (dim, dim):
+        raise DimensionMismatch(f"basis shape {a.shape} != ({dim}, {dim})")
+    a = as_square_matrix(a)
+    defect = float(np.linalg.norm(a.conj().T @ a - np.eye(a.shape[0])))
+    if defect > 1e-10:
+        raise NotUnitary(f"unitarity defect {defect:.3e} exceeds 1e-10")
+    return a
 
 
 def support_cutoff(eigenvalues: np.ndarray, scale: float = CUTOFF_SCALE) -> float:
@@ -152,7 +157,7 @@ def matrix_function_on_support(m, f: Callable[[np.ndarray], np.ndarray],
         raise ValidationError(f"cutoff must be nonnegative, got {cutoff}")
     if np.any(vals < -cutoff):
         worst = float(vals.min())
-        raise NegativeEigenvalue(f"eigenvalue {worst:.3e} below -{cutoff:.1e}")
+        raise NotPositive(f"eigenvalue {worst:.3e} below -{cutoff:.1e}")
     keep = vals > cutoff
     fvals = np.zeros_like(vals)
     if np.any(keep):
@@ -164,6 +169,29 @@ def matrix_function_on_support(m, f: Callable[[np.ndarray], np.ndarray],
 def kron(a, b) -> np.ndarray:
     """Tensor product with A-major composite indexing."""
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+
+
+def conjugate_a(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(X† (x) I_B) m (X (x) I_B) for an A-major operator ``m`` and a d_in x d_out ``x``.
+
+    ``m`` has A dimension d_in, the result d_out. Each factor is one matmul
+    on a reshaped view: O(d_A^3 d_B^2) in place of the O(d_A^3 d_B^3) of
+    multiplying by the explicit Kronecker products.
+    """
+    d_in, d_out = x.shape
+    d_b = m.shape[0] // d_in
+    left = (x.conj().T @ m.reshape(d_in, -1)).reshape(d_out * d_b, d_in * d_b)
+    # (left (X (x) I))^T = (X^T (x) I) left^T: the right factor as a left one.
+    return (x.T @ left.T.reshape(d_in, -1)).reshape(d_out * d_b, d_out * d_b).T
+
+
+def block_diag(blocks: np.ndarray) -> np.ndarray:
+    """A-major operator with ``blocks[a]`` as diagonal block (a, a), zero elsewhere."""
+    n, d_b = blocks.shape[:2]
+    r = np.zeros((n, d_b, n, d_b), dtype=complex)
+    idx = np.arange(n)
+    r[idx, :, idx, :] = blocks
+    return r.reshape(n * d_b, n * d_b)
 
 
 def partial_trace(m, d_a: int, d_b: int, keep: str = "A") -> np.ndarray:

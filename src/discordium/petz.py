@@ -15,18 +15,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotUnitary
+from .errors import DimensionMismatch
 from .channels import KrausMap, adjoint, apply_matrix
 from .linalg import (
-    kron,
+    block_diag,
+    conjugate_a,
     matrix_function_on_support,
+    require_unitary,
     trace_distance,
-    unitarity_defect,
 )
 from .states import (
     BipartiteState,
     DensityMatrix,
     conditional_ensemble,
+    in_basis,
     reduced_state,
 )
 
@@ -81,31 +83,12 @@ def reconstruct_cq(s: BipartiteState, basis: np.ndarray) -> np.ndarray:
     state itself precisely when dephasing in ``basis`` loses no mutual
     information.
     """
-    u = np.asarray(basis, dtype=complex)
-    if u.shape != (s.d_a, s.d_a):
-        raise DimensionMismatch(f"basis shape {u.shape} != ({s.d_a}, {s.d_a})")
-    defect = unitarity_defect(u)
-    if defect > 1e-10:
-        raise NotUnitary(f"unitarity defect {defect:.3e} exceeds 1e-10")
-    rho_a = reduced_state(s, "A")
-    sqrt_a = matrix_function_on_support(rho_a, np.sqrt)
-    rot = kron(u.conj().T, np.eye(s.d_b))
-    rotated = BipartiteState(
-        state=DensityMatrix(
-            mat=rot @ s.mat @ rot.conj().T,
-            spectrum=s.state.spectrum,
-            support_rank=s.state.support_rank,
-        ),
-        d_a=s.d_a,
-        d_b=s.d_b,
-    )
-    ens = conditional_ensemble(rotated)
-    out = np.zeros_like(s.mat)
-    for a, rho_b_a in enumerate(ens.states):
-        if rho_b_a is None:
-            continue
-        w = sqrt_a @ u[:, a]
-        out += kron(np.outer(w, w.conj()), rho_b_a.mat)
+    u = require_unitary(basis, s.d_a)
+    sqrt_a = matrix_function_on_support(reduced_state(s, "A"), np.sqrt)
+    zero = np.zeros((s.d_b, s.d_b))
+    blocks = np.array([zero if st is None else st.mat
+                       for st in conditional_ensemble(in_basis(s, u)).states])
+    out = conjugate_a(block_diag(blocks), (sqrt_a @ u).conj().T)
     return 0.5 * (out + out.conj().T)
 
 

@@ -7,7 +7,7 @@ never touch global PRNG state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -15,15 +15,14 @@ from .errors import (
     BadRank,
     DimensionMismatch,
     IndexOutOfRange,
-    NotHermitian,
     NotPositive,
     TraceNotOne,
 )
 from .linalg import (
-    as_square_matrix,
-    hermiticity_defect,
-    kron,
+    block_diag,
+    conjugate_a,
     partial_trace,
+    require_hermitian,
     support_cutoff,
 )
 
@@ -93,11 +92,7 @@ def validate_density(m, tol: float = VALIDATION_TOL) -> DensityMatrix:
     repaired (symmetrize, clip eigenvalues to zero, renormalize); anything
     larger raises the error naming the violated invariant and its magnitude.
     """
-    a = as_square_matrix(m)
-    defect = hermiticity_defect(a)
-    if defect > tol:
-        raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds {tol:.1e}")
-    h = 0.5 * (a + a.conj().T)
+    h = require_hermitian(m, tol)
     vals, vecs = np.linalg.eigh(h)
     if vals[0] < -tol:
         raise NotPositive(f"eigenvalue {vals[0]:.3e} below -{tol:.1e}")
@@ -155,16 +150,25 @@ def assemble_blocks(blocks: np.ndarray) -> np.ndarray:
     return blocks.transpose(0, 2, 1, 3).reshape(d_a * d_b, d_a * d_b)
 
 
+def in_basis(s: BipartiteState, u: np.ndarray) -> BipartiteState:
+    """The state with its A factor written in the basis ``u``.
+
+    Returns (U† (x) I) rho (U (x) I), symmetrized; the unitary conjugation
+    keeps the cached spectrum valid.
+    """
+    mat = conjugate_a(s.mat, u)
+    return replace(s, state=replace(s.state, mat=0.5 * (mat + mat.conj().T)))
+
+
 def assemble_cq(basis: np.ndarray, probs, b_states) -> BipartiteState:
-    """Build sum_i p_i |u_i><u_i| (x) rho_i with |u_i> the basis columns."""
+    """Build sum_i p_i |u_i><u_i| (x) rho_i with |u_i> the basis columns.
+
+    Basis columns past the shorter of ``probs`` and ``b_states`` carry no weight.
+    """
     basis = np.asarray(basis, dtype=complex)
-    d_a = basis.shape[0]
-    d_b = np.asarray(b_states[0]).shape[0]
-    out = np.zeros((d_a * d_b, d_a * d_b), dtype=complex)
-    for i, (p, rho) in enumerate(zip(probs, b_states)):
-        u = basis[:, i]
-        out += p * kron(np.outer(u, u.conj()), np.asarray(rho, dtype=complex))
-    return bipartite(out, d_a, d_b)
+    blocks = np.array([p * np.asarray(rho, dtype=complex) for p, rho in zip(probs, b_states)])
+    mat = conjugate_a(block_diag(blocks), basis[:, :len(blocks)].conj().T)
+    return bipartite(mat, basis.shape[0], blocks.shape[1])
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -107,16 +107,22 @@ class TestDephasingChannel:
         once = apply_matrix(ch, s.mat)
         assert np.max(np.abs(apply_matrix(ch, once) - once)) <= 1e-12
 
-    def test_dephase_shortcut_matches_channel(self):
+    @pytest.mark.parametrize("d_a, d_b", [(2, 2), (3, 2), (2, 3)], ids=["2x2", "3x2", "2x3"])
+    def test_dephase_shortcut_matches_channel(self, d_a, d_b):
         rng = np.random.default_rng(9)
-        s = random_bipartite(3, 2, rng)
-        u = haar_unitary(3, rng)
-        ch = dephasing_channel(u, 3, 2)
+        s = random_bipartite(d_a, d_b, rng)
+        u = haar_unitary(d_a, rng)
+        ch = dephasing_channel(u, d_a, d_b)
         assert np.max(np.abs(dephase(s, u) - apply_matrix(ch, s.mat))) <= 1e-12
 
     def test_rejects_non_unitary(self):
         with pytest.raises(NotUnitary):
             dephasing_channel(np.ones((2, 2)), 2, 2)
+        s = random_bipartite(2, 2, np.random.default_rng(0))
+        with pytest.raises(NotUnitary):
+            dephase(s, np.ones((2, 2)))
+        with pytest.raises(DimensionMismatch):
+            dephase(s, np.eye(3))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_data_processing(self, seed):

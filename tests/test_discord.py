@@ -111,6 +111,20 @@ class TestDiscord:
         assert enlarged.best_basis.shape == (4, 4)
         assert enlarged.value <= plain.value + 1e-6
 
+    def test_tiny_block_probability_stops_after_first_restart(self):
+        # A 1e-9 block whose conditional state has eigenvalue 0.03 puts an
+        # eigenvalue of 3e-11 in rho. The gap's constant part must keep it, as
+        # the block terms do, or the exact basis reads a gap above the early
+        # stop and every restart runs.
+        rng = np.random.default_rng(5)
+        u = haar_unitary(2, rng)
+        v = haar_unitary(2, rng)
+        low = v @ np.diag([0.03, 0.97]) @ v.conj().T
+        s = assemble_cq(u, [1e-9, 1.0 - 1e-9], [low, random_density(2, 2, rng)])
+        r = discord(s)
+        assert r.restarts_used == 1
+        assert r.converged and r.value <= 1e-9
+
     def test_bad_config(self):
         s = random_cq_state(2, 2, seed=0)
         with pytest.raises(BadConfig):

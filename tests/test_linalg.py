@@ -3,8 +3,17 @@ import pytest
 
 from conftest import random_hermitian
 from discordium.counterexample import COUNTEREXAMPLE_MATRIX
-from discordium.errors import DimensionMismatch, NegativeEigenvalue, NotHermitian
+from discordium.errors import (
+    DimensionMismatch,
+    InvalidPovm,
+    NegativeEigenvalue,
+    NotHermitian,
+    NotPositive,
+    NotPovm,
+)
 from discordium.linalg import (
+    block_diag,
+    conjugate_a,
     distance,
     hermitian_eig,
     jacobi_eig,
@@ -120,6 +129,28 @@ class TestKron:
         a = random_hermitian(3, rng)
         b = random_hermitian(2, rng)
         assert np.isclose(np.trace(kron(a, b)), np.trace(a) * np.trace(b))
+
+
+class TestConjugateA:
+    @pytest.mark.parametrize("d_in, d_out, d_b", [(2, 2, 3), (3, 3, 2), (2, 4, 3), (4, 3, 2)])
+    def test_matches_kron_form(self, d_in, d_out, d_b):
+        rng = np.random.default_rng(10 * d_in + d_out)
+        n = d_in * d_b
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        x = rng.standard_normal((d_in, d_out)) + 1j * rng.standard_normal((d_in, d_out))
+        big = kron(x, np.eye(d_b))
+        assert np.max(np.abs(conjugate_a(m, x) - big.conj().T @ m @ big)) <= 1e-12
+
+    def test_block_diag_matches_kron_sum(self):
+        rng = np.random.default_rng(3)
+        blocks = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
+        expected = sum(kron(np.diag(np.eye(3)[a]), blocks[a]) for a in range(3))
+        assert np.array_equal(block_diag(blocks), expected)
+
+
+def test_error_aliases_share_one_class_per_invariant():
+    assert NegativeEigenvalue is NotPositive
+    assert NotPovm is InvalidPovm
 
 
 class TestPartialTrace:

@@ -101,16 +101,20 @@ class TestApplyPetz:
         y = random_density(3, 3, rng)
         assert np.trace(apply_petz(pm, y)).real <= np.trace(y).real + 1e-10
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_matches_closed_form_for_dephasing(self, seed):
+    # Asymmetric shapes catch a d_a/d_b mix-up; the 2x2 cases keep plain seed ids.
+    @pytest.mark.parametrize("seed, d_a, d_b", [
+        pytest.param(seed, d_a, d_b, id=f"{seed}" if d_a == d_b else f"{seed}-{d_a}x{d_b}")
+        for d_a, d_b in [(2, 2), (3, 2), (2, 3)] for seed in range(5)
+    ])
+    def test_matches_closed_form_for_dephasing(self, seed, d_a, d_b):
         # General recovery formula against the block closed form, on states
         # with no special structure.
         rng = np.random.default_rng(50 + seed)
-        s = random_bipartite(2, 2, rng)
-        u = haar_unitary(2, rng)
-        ch = dephasing_channel(u, 2, 2)
-        rho_a = np.einsum("ibjb->ij", s.mat.reshape(2, 2, 2, 2))
-        rho_b = np.einsum("ibic->bc", s.mat.reshape(2, 2, 2, 2))
+        s = random_bipartite(d_a, d_b, rng)
+        u = haar_unitary(d_a, rng)
+        ch = dephasing_channel(u, d_a, d_b)
+        rho_a = np.einsum("ibjb->ij", s.mat.reshape(d_a, d_b, d_a, d_b))
+        rho_b = np.einsum("ibic->bc", s.mat.reshape(d_a, d_b, d_a, d_b))
         sigma = validate_density(kron(rho_a, rho_b))
         pm = build_petz(ch, sigma)
         general = apply_petz(pm, apply_matrix(ch, s.mat))
