@@ -145,8 +145,8 @@ class _BlockObjective:
     Here u_a is column a of U and r the state as an (A, B, A, B) tensor.
     When df = sum_a tr(G_a dB_a), the Euclidean gradient with respect to u_a
     is 2 M_a u_a with M_a = sum_bc (G_a)_cb r[:, b, :, c], so that
-    df = Re tr(dU^dag grad). Subclasses give ``batch`` (values on a stack of
-    bases of shape (g, d_a, d_a)) and ``value_grad``.
+    df = Re tr(dU^dag grad). Subclasses give ``batch`` (values) and
+    ``value_grad`` (values and gradients) on a stack of bases (g, d_a, d_a).
     """
 
     def __init__(self, mat: np.ndarray, d_a: int, d_b: int):
@@ -155,11 +155,15 @@ class _BlockObjective:
     def blocks(self, us: np.ndarray) -> np.ndarray:
         return np.einsum("gia,ibjc,gja->gabc", us.conj(), self.r, us)
 
-    def gradient(self, g: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return 2.0 * np.einsum("acb,ibjc,ja->ia", g, self.r, u)
+    def gradient(self, g: np.ndarray, us: np.ndarray) -> np.ndarray:
+        return 2.0 * np.einsum("gacb,ibjc,gja->gia", g, self.r, us)
 
     def __call__(self, u: np.ndarray) -> float:
         return float(self.batch(u[np.newaxis])[0])
+
+
+def _dag(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
 
 
 def _xlog2x(w: np.ndarray) -> np.ndarray:
@@ -189,19 +193,19 @@ class _DephasingGap(_BlockObjective):
     def batch(self, us: np.ndarray) -> np.ndarray:
         return self._value(np.clip(np.linalg.eigvalsh(self.blocks(us)), 0.0, None))
 
-    def value_grad(self, u: np.ndarray):
+    def value_grad(self, us: np.ndarray):
         """f(U) and its gradient, with G_a = lg(p_a) I - lg B_a on the support.
 
         G_a is zero on the kernel of B_a, so rank-deficient blocks give a
         finite gradient; where the block rank is locally constant this is
         the exact derivative.
         """
-        w, v = np.linalg.eigh(self.blocks(u[np.newaxis])[0])
+        w, v = np.linalg.eigh(self.blocks(us))
         w = np.clip(w, 0.0, None)
         on = w > _BLOCK_SUPPORT
-        g = np.log2(np.where(on, w.sum(axis=1, keepdims=True), 1.0) / np.where(on, w, 1.0))
-        g_mat = (v * g[:, np.newaxis, :]) @ v.conj().transpose(0, 2, 1)
-        return float(self._value(w)), self.gradient(g_mat, u)
+        g = np.log2(np.where(on, w.sum(axis=-1, keepdims=True), 1.0) / np.where(on, w, 1.0))
+        g_mat = (v * g[..., np.newaxis, :]) @ _dag(v)
+        return self._value(w), self.gradient(g_mat, us)
 
 
 class _OffdiagMass(_BlockObjective):
@@ -216,43 +220,53 @@ class _OffdiagMass(_BlockObjective):
         off = 1.0 - np.eye(us.shape[1])[:, np.newaxis, :, np.newaxis]
         return np.sum(np.abs(rot * off) ** 2, axis=(1, 2, 3, 4))
 
-    def value_grad(self, u: np.ndarray):
-        return self(u), self.gradient(-2.0 * self.blocks(u[np.newaxis])[0], u)
+    def value_grad(self, us: np.ndarray):
+        return self.batch(us), self.gradient(-2.0 * self.blocks(us), us)
 
 
-def _descend(obj: _BlockObjective, u: np.ndarray, max_iters: int, step_tol: float):
-    """Riemannian steepest descent of ``obj`` on U(d), starting at ``u``.
+def _descend(obj: _BlockObjective, us: np.ndarray, max_iters: int, step_tol: float):
+    """Riemannian steepest descent of ``obj`` on U(d) from a stack of starts.
 
     With A = U^dag grad, the step U <- U exp(i eta H), H = i (A - A^dag) / 2,
     follows the negative Riemannian gradient (Abrudan, Eriksson and
     Koivunen, IEEE TSP 56(3), 2008). The step eta is the best of a geometric
-    ladder around the last accepted step (around 1 at first), evaluated in
-    one batched call.
-    The descent stops by tolerance when ||H||_F <= ``step_tol``, when a step
+    ladder around the start's last accepted step (around 1 at first).
+    A start stops by tolerance when ||H||_F <= ``step_tol``, when a step
     lowers f by at most ``step_tol`` relative to |f|, or when no step on the
     ladder lowers f; reaching ``max_iters`` steps is not convergence.
-    Returns ``(f, U, converged)``.
+    The starts ``us`` (n, d, d) advance in lockstep, the ladders of all running
+    starts in one batched evaluation, so each follows the path it would alone.
+    Returns ``(f, U, converged)``, each stacked over the starts.
     """
-    f, grad = obj.value_grad(u)
-    eta = 1.0
+    us = np.array(us, dtype=complex)
+    f, grad = obj.value_grad(us)
+    eta = np.ones(len(us))
+    live = np.arange(len(us))
     for _ in range(max_iters):
-        a = u.conj().T @ grad
-        h = 0.5j * (a - a.conj().T)
-        if np.linalg.norm(h) <= step_tol:
-            return f, u, True
+        a = _dag(us[live]) @ grad[live]
+        h = 0.5j * (a - _dag(a))
+        flat = np.linalg.norm(h, axis=(1, 2)) <= step_tol
+        live, h = live[~flat], h[~flat]
+        if not live.size:
+            break
         lam, vecs = np.linalg.eigh(h)
-        top = float(np.max(np.abs(lam)))
-        etas = np.minimum(eta * _LADDER, np.pi / top)
-        cands = u @ (vecs * np.exp(1j * etas[:, np.newaxis] * lam)[:, np.newaxis]) @ vecs.conj().T
-        vals = obj.batch(cands)
-        k = int(np.argmin(vals))
-        if not vals[k] < f:
-            return f, u, True
-        f_old, eta, u = f, etas[k], cands[k]
-        f, grad = obj.value_grad(u)
-        if 2.0 * (f_old - f) <= step_tol * (abs(f_old) + abs(f)) + 1e-20:
-            return f, u, True
-    return f, u, False
+        top = np.max(np.abs(lam), axis=1, keepdims=True)
+        etas = np.minimum(eta[live, np.newaxis] * _LADDER, np.pi / top)
+        # exp(i eta H) = V diag(exp(i eta lam)) V^dag for every (start, eta) pair.
+        phases = np.exp(1j * etas[..., np.newaxis] * lam[:, np.newaxis])[..., np.newaxis, :]
+        cands = us[live, np.newaxis] @ (vecs[:, np.newaxis] * phases) @ _dag(vecs[:, np.newaxis])
+        vals = obj.batch(cands.reshape(-1, *us.shape[1:])).reshape(etas.shape)
+        k = np.argmin(vals, axis=1)
+        down = np.min(vals, axis=1) < f[live]
+        live, k = live[down], k[down]
+        f_old = f[live]
+        eta[live] = etas[down, k]
+        us[live] = cands[down, k]
+        f[live], grad[live] = obj.value_grad(us[live])
+        small = 2.0 * (f_old - f[live]) <= step_tol * (np.abs(f_old) + np.abs(f[live])) + 1e-20
+        live = live[~small]
+    # Every stop rule is convergence; the starts still running did not converge.
+    return f, us, ~np.isin(np.arange(len(us)), live)
 
 
 def _check_config(cfg: DiscordConfig) -> None:
@@ -284,28 +298,25 @@ def discord(s: BipartiteState, cfg: DiscordConfig | None = None) -> DiscordResul
     cfg = cfg or DiscordConfig()
     _check_config(cfg)
     work = embed_state(s, s.d_a * s.d_a) if cfg.enlarge else s
-    dim = work.d_a
     gap = _DephasingGap(work.mat, work.d_a, work.d_b)
-    smart_start = np.linalg.eigh(gap.rho_a)[1]
-    rng = np.random.default_rng(cfg.seed)
+    # Restart 0 (the rho_A eigenbasis) alone: on cq states no Haar start is drawn.
+    vals, us, oks = _descend(gap, np.linalg.eigh(gap.rho_a[np.newaxis])[1],
+                             cfg.max_iters, cfg.step_tol)
+    if not vals[0] < _EARLY_STOP and cfg.restarts > 1:
+        haar = haar_unitary(work.d_a, np.random.default_rng(cfg.seed), cfg.restarts - 1)
+        f, u, ok = _descend(gap, haar, cfg.max_iters, cfg.step_tol)
+        vals, us, oks = np.append(vals, f), np.concatenate([us, u]), np.append(oks, ok)
+    # As one restart after another: stop at the first running minimum below the early stop.
+    hits = np.nonzero(np.minimum.accumulate(vals) < _EARLY_STOP)[0]
+    used = int(hits[0]) + 1 if hits.size else cfg.restarts
+    best = int(np.argmin(vals[:used]))
 
-    best_val, best_u, best_ok, used = np.inf, smart_start, False, 0
-    for restart in range(cfg.restarts):
-        u0 = smart_start if restart == 0 else haar_unitary(dim, rng)
-        val, u, ok = _descend(gap, u0, cfg.max_iters, cfg.step_tol)
-        used += 1
-        if val < best_val:
-            best_val, best_u, best_ok = val, u, ok
-        if best_val < _EARLY_STOP:
-            break
-
-    value = _exact_gap(work, best_u)
     return DiscordResult(
-        value=value,
-        best_basis=best_u,
+        value=_exact_gap(work, us[best]),
+        best_basis=us[best],
         enlarged=cfg.enlarge,
         restarts_used=used,
-        converged=bool(best_ok or best_val < _EARLY_STOP),
+        converged=bool(oks[best] or vals[best] < _EARLY_STOP),
     )
 
 
@@ -696,4 +707,4 @@ def _polish_basis(s: BipartiteState, basis: np.ndarray) -> np.ndarray:
     block-diagonalizing basis; the mass function has an exact zero there, so
     a short gradient descent recovers it to near machine precision.
     """
-    return _descend(_OffdiagMass(s.mat, s.d_a, s.d_b), basis, 60, 1e-16)[1]
+    return _descend(_OffdiagMass(s.mat, s.d_a, s.d_b), basis[np.newaxis], 60, 1e-16)[1][0]

@@ -228,6 +228,9 @@ def distance(a, b, norm: str = "frobenius") -> float:
     if norm == "frobenius":
         return float(np.linalg.norm(d))
     if norm == "trace":
+        # Singular values of an exactly Hermitian d (any difference of two) are |eigenvalues|.
+        if np.array_equal(d, d.conj().T):
+            return float(np.sum(np.abs(np.linalg.eigvalsh(d))))
         return float(np.sum(np.linalg.svd(d, compute_uv=False)))
     raise ValidationError(f"norm must be 'frobenius' or 'trace', got {norm!r}")
 

@@ -25,9 +25,9 @@ from .linalg import (
     trace_distance,
 )
 from .states import (
+    ZERO_PROB_CUTOFF,
     BipartiteState,
     DensityMatrix,
-    conditional_ensemble,
     in_basis,
     reduced_state,
 )
@@ -85,10 +85,11 @@ def reconstruct_cq(s: BipartiteState, basis: np.ndarray) -> np.ndarray:
     """
     u = require_unitary(basis, s.d_a)
     sqrt_a = matrix_function_on_support(reduced_state(s, "A"), np.sqrt)
-    zero = np.zeros((s.d_b, s.d_b))
-    blocks = np.array([zero if st is None else st.mat
-                       for st in conditional_ensemble(in_basis(s, u)).states])
-    out = conjugate_a(block_diag(blocks), (sqrt_a @ u).conj().T)
+    blocks = np.einsum("abac->abc", in_basis(s, u).mat.reshape(s.d_a, s.d_b, s.d_a, s.d_b))
+    probs = np.trace(blocks, axis1=1, axis2=2).real
+    # rho^B_a = B_a / p_a; a block at or below the zero-probability cutoff contributes 0.
+    scale = np.divide(1.0, probs, out=np.zeros_like(probs), where=probs > ZERO_PROB_CUTOFF)
+    out = conjugate_a(block_diag(blocks * scale[:, np.newaxis, np.newaxis]), (sqrt_a @ u).conj().T)
     return 0.5 * (out + out.conj().T)
 
 

@@ -93,17 +93,20 @@ def validate_density(m, tol: float = VALIDATION_TOL) -> DensityMatrix:
     larger raises the error naming the violated invariant and its magnitude.
     """
     h = require_hermitian(m, tol)
-    vals, vecs = np.linalg.eigh(h)
+    vals = np.linalg.eigvalsh(h)
     if vals[0] < -tol:
         raise NotPositive(f"eigenvalue {vals[0]:.3e} below -{tol:.1e}")
     tr = float(np.sum(vals))
     if abs(tr - 1.0) > tol:
         raise TraceNotOne(f"trace deviates from 1 by {tr - 1.0:.3e}")
-    if vals[0] < 0.0 or abs(tr - 1.0) > 0.0:
+    if vals[0] < 0.0:
+        # Only clipping needs the eigenvectors, to rebuild the matrix.
+        vals, vecs = np.linalg.eigh(h)
         vals = np.clip(vals, 0.0, None)
-        vals = vals / np.sum(vals)
         h = (vecs * vals) @ vecs.conj().T
         h = 0.5 * (h + h.conj().T)
+    tr = float(np.trace(h).real)
+    h, vals = h / tr, vals / tr
     rank = int(np.count_nonzero(vals > support_cutoff(vals)))
     return DensityMatrix(mat=h, spectrum=vals, support_rank=rank)
 
@@ -171,16 +174,18 @@ def assemble_cq(basis: np.ndarray, probs, b_states) -> BipartiteState:
     return bipartite(mat, basis.shape[0], blocks.shape[1])
 
 
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+def haar_unitary(dim: int, rng: np.random.Generator, count: int | None = None) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian matrix.
 
     The R diagonal phases are divided out so the distribution is exactly
-    Haar rather than QR-convention dependent.
+    Haar rather than QR-convention dependent. With ``count`` the result is
+    a stack of shape (count, dim, dim), equal to ``count`` successive draws.
     """
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    return q * (d / np.abs(d))
+    z = rng.standard_normal((1 if count is None else count, 2, dim, dim))
+    q, r = np.linalg.qr(z[:, 0] + 1j * z[:, 1])
+    d = np.diagonal(r, axis1=1, axis2=2)
+    q = q * (d / np.abs(d))[:, np.newaxis, :]
+    return q[0] if count is None else q
 
 
 def _random_density(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:

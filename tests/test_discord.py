@@ -10,11 +10,13 @@ from scipy.linalg import expm
 import discordium
 from conftest import bell_state, random_bipartite, random_density, random_hermitian
 from discordium.errors import BadConfig, NotAtEquality, WrongDimension
-from discordium.channels import dephase
+from discordium.channels import dephase, embed_state
 from discordium.discord import (
+    _EARLY_STOP,
     _DephasingGap,
     _OffdiagMass,
     _descend,
+    _exact_gap,
     _offdiag_residual,
     _polish_basis,
     ClassicalityCertificate,
@@ -173,7 +175,7 @@ class TestAnalyticGradient:
         _, mat, d_a, d_b = case
         gap = _DephasingGap(mat, d_a, d_b)
         u = haar_unitary(d_a, np.random.default_rng(33))
-        value, grad = gap.value_grad(u)
+        (value,), (grad,) = gap.value_grad(u[np.newaxis])
         assert abs(value - gap(u)) <= 1e-12
         for i in range(d_a):
             for a in range(d_a):
@@ -191,7 +193,7 @@ class TestAnalyticGradient:
         f = objective(mat, d_a, d_b)
         rng = np.random.default_rng(34)
         u = haar_unitary(d_a, rng)
-        _, grad = f.value_grad(u)
+        _, (grad,) = f.value_grad(u[np.newaxis])
         for _ in range(3):
             x = 1j * random_hermitian(d_a, rng)
             slope = float(np.real(np.vdot(x, u.conj().T @ grad)))
@@ -213,15 +215,15 @@ class TestAnalyticGradient:
         s, exact = pure_state(3, 3, seed=36)
         gap = _DephasingGap(s.mat, 3, 3)
         u = haar_unitary(3, np.random.default_rng(37))
-        value, grad = gap.value_grad(u)
+        (value,), (grad,) = gap.value_grad(u[np.newaxis])
         assert np.all(np.isfinite(grad)) and np.linalg.norm(grad) <= 1e-12
 
         def no_line_search(us):
             raise AssertionError("line search ran at a zero gradient")
 
         gap.batch = no_line_search
-        f, u_out, converged = _descend(gap, u, 200, 1e-10)
-        assert converged and u_out is u
+        (f,), (u_out,), (converged,) = _descend(gap, u[np.newaxis], 200, 1e-10)
+        assert converged and np.array_equal(u_out, u)
         assert abs(f - exact) <= 1e-12
 
 
@@ -233,6 +235,79 @@ class TestDescentStopping:
         assert not capped.converged
         assert full.converged
         assert full.value <= capped.value + 1e-12
+
+
+def serial_discord(s, cfg=DiscordConfig()):
+    """discord() as one restart after another: the reference for the lockstep search."""
+    work = embed_state(s, s.d_a * s.d_a) if cfg.enlarge else s
+    gap = _DephasingGap(work.mat, work.d_a, work.d_b)
+    rng = np.random.default_rng(cfg.seed)
+    best_val, best_u, best_ok, used = np.inf, None, False, 0
+    for restart in range(cfg.restarts):
+        u0 = np.linalg.eigh(gap.rho_a)[1] if restart == 0 else haar_unitary(work.d_a, rng)
+        (val,), (u,), (ok,) = _descend(gap, u0[np.newaxis], cfg.max_iters, cfg.step_tol)
+        used += 1
+        if val < best_val:
+            best_val, best_u, best_ok = val, u, ok
+        if best_val < _EARLY_STOP:
+            break
+    return _exact_gap(work, best_u), best_u, used, bool(best_ok or best_val < _EARLY_STOP)
+
+
+def lockstep_cases():
+    """(name, state, config, restarts_used range) for the serial comparison."""
+    rng = np.random.default_rng(41)
+    full = random_bipartite(2, 2, rng)
+    rank2 = random_bipartite(3, 3, rng, rank=2)
+    pure, _ = pure_state(3, 3, seed=42)
+    # ROADMAP item-1 family: rho_A = I/4, so restart 0 starts from an
+    # arbitrary basis; at k = 70 the second restart reaches the early stop.
+    rng = np.random.default_rng(70)
+    u = haar_unitary(4, rng)
+    item1 = assemble_cq(u, [0.25] * 4, [random_density(2, 1, rng) for _ in range(4)])
+    return [
+        ("full2x2", full, DiscordConfig(), (16, 16)),
+        ("rank2_3x3", rank2, DiscordConfig(), (16, 16)),
+        ("pure3x3", pure, DiscordConfig(), (16, 16)),
+        ("enlarge2x2", random_bipartite(2, 2, np.random.default_rng(8)),
+         DiscordConfig(restarts=4, enlarge=True), (4, 4)),
+        ("item1_4x2", item1, DiscordConfig(), (2, 15)),
+    ]
+
+
+class TestLockstepSearch:
+    @pytest.mark.parametrize("case", lockstep_cases(), ids=lambda c: c[0])
+    def test_matches_serial_restarts(self, case):
+        _, s, cfg, (lo, hi) = case
+        r = discord(s, cfg)
+        value, basis, used, converged = serial_discord(s, cfg)
+        assert lo <= r.restarts_used <= hi
+        assert abs(r.value - value) <= 1e-12
+        assert np.max(np.abs(r.best_basis - basis)) <= 1e-12
+        assert r.restarts_used == used
+        assert r.converged == converged
+
+    @pytest.mark.parametrize("max_iters", [20, 200])
+    def test_stacked_rows_follow_single_descents(self, max_iters):
+        # The starts stop at different iterations, so rows leave the active
+        # set at different times; with max_iters=20 one of them hits the cap.
+        rng = np.random.default_rng(43)
+        gap = _DephasingGap(random_density(6, 6, rng), 3, 2)
+        starts = haar_unitary(3, rng, 6)
+        f, us, ok = _descend(gap, starts, max_iters, 1e-10)
+        assert np.count_nonzero(ok) == (5 if max_iters == 20 else 6)
+        for i, u0 in enumerate(starts):
+            (f1,), (u1,), (ok1,) = _descend(gap, u0[np.newaxis], max_iters, 1e-10)
+            assert abs(f[i] - f1) <= 1e-12
+            assert np.max(np.abs(us[i] - u1)) <= 1e-12
+            assert ok[i] == ok1
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 9])
+    def test_stacked_haar_draws_equal_sequential_draws(self, dim):
+        rng = np.random.default_rng(44)
+        sequential = np.array([haar_unitary(dim, rng) for _ in range(15)])
+        stacked = haar_unitary(dim, np.random.default_rng(44), 15)
+        assert np.array_equal(stacked, sequential)
 
 
 def test_import_leaves_scipy_optimize_unloaded():

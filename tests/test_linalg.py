@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_hermitian
+from conftest import random_density, random_hermitian
 from discordium.counterexample import COUNTEREXAMPLE_MATRIX
 from discordium.errors import (
     DimensionMismatch,
@@ -20,6 +20,7 @@ from discordium.linalg import (
     kron,
     matrix_function_on_support,
     partial_trace,
+    require_hermitian,
     support_cutoff,
     trace_distance,
 )
@@ -199,6 +200,21 @@ class TestDistance:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             distance(np.eye(2), np.eye(3))
+
+    @pytest.mark.parametrize("hermitian", [True, False])
+    @pytest.mark.parametrize("dim", [2, 6, 144])
+    def test_trace_norm_matches_svd(self, hermitian, dim):
+        rng = np.random.default_rng(dim)
+        if hermitian:
+            a, b = (require_hermitian(random_density(dim, dim, rng)) for _ in range(2))
+        else:
+            a, b = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+                    for _ in range(2))
+        d = a - b
+        assert np.array_equal(d, d.conj().T) == hermitian
+        svd = float(np.sum(np.linalg.svd(d, compute_uv=False)))
+        assert abs(distance(a, b, norm="trace") - svd) <= 1e-12
+        assert abs(trace_distance(a, b) - 0.5 * svd) <= 1e-12
 
 
 def test_support_cutoff_floor():

@@ -9,14 +9,18 @@ from discordium.channels import (
     dephase,
     dephasing_channel,
 )
-from discordium.linalg import kron, trace_distance
+from discordium.linalg import kron, matrix_function_on_support, trace_distance
 from discordium.measures import mutual_information
 from discordium.petz import apply_petz, build_petz, reconstruct_cq, recovery_residual
 from discordium.states import (
+    assemble_cq,
     bipartite,
+    conditional_ensemble,
     haar_unitary,
+    in_basis,
     random_cq_state_with_parts,
     random_state,
+    reduced_state,
     validate_density,
 )
 
@@ -122,6 +126,29 @@ class TestApplyPetz:
         assert np.max(np.abs(general - closed)) <= 1e-9
 
 
+def ensemble_reconstruction(s, basis):
+    """sum_a rho_A^{1/2} |a><a| rho_A^{1/2} (x) rho^B_a from validated conditional states."""
+    sqrt_a = matrix_function_on_support(reduced_state(s, "A"), np.sqrt)
+    out = np.zeros_like(s.mat)
+    for a, st in enumerate(conditional_ensemble(in_basis(s, basis)).states):
+        if st is not None:
+            col = sqrt_a @ basis[:, a]
+            out += kron(np.outer(col, col.conj()), st.mat)
+    return out
+
+
+def reconstruction_cases():
+    rng = np.random.default_rng(60)
+    cases = [(random_bipartite(d_a, d_b, rng), haar_unitary(d_a, rng))
+             for d_a, d_b in ((2, 2), (3, 2), (2, 3), (4, 3))]
+    # Block probabilities of 1e-9 (kept) and 0 (below the cutoff) at the basis.
+    u = haar_unitary(3, rng)
+    states = [random_density(2, 2, rng) for _ in range(3)]
+    cases.append((assemble_cq(u, [1e-9, 0.6, 0.4 - 1e-9], states), u))
+    cases.append((assemble_cq(u, [0.5, 0.5, 0.0], states), u))
+    return cases
+
+
 class TestReconstructCq:
     def test_cq_state_in_generating_basis(self):
         s, basis, _, _ = random_cq_state_with_parts(2, 3, seed=7)
@@ -139,6 +166,11 @@ class TestReconstructCq:
         rng = np.random.default_rng(8)
         s = random_bipartite(2, 2, rng, rank=1)
         assert trace_distance(reconstruct_cq(s, np.eye(2)), s.mat) > 1e-3
+
+    @pytest.mark.parametrize("case", reconstruction_cases())
+    def test_matches_ensemble_form(self, case):
+        s, basis = case
+        assert np.max(np.abs(reconstruct_cq(s, basis) - ensemble_reconstruction(s, basis))) <= 1e-12
 
     def test_rejects_non_unitary(self):
         s = random_bipartite(2, 2, np.random.default_rng(0))

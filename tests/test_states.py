@@ -56,6 +56,14 @@ class TestValidateDensity:
         assert rho.spectrum[0] >= 0.0
         assert np.isclose(rho.spectrum.sum(), 1.0, atol=1e-15)
 
+    @pytest.mark.parametrize("dim, rank", [(9, 9), (9, 2), (36, 36), (36, 3), (144, 144), (144, 5)])
+    def test_matrix_and_spectrum_agree(self, dim, rank):
+        # Full rank takes the rescaling path, rank-deficient inputs the
+        # clipping path; either way the cached spectrum is the matrix's.
+        rho = validate_density(random_density(dim, rank, np.random.default_rng(dim + rank)))
+        assert np.max(np.abs(np.linalg.eigvalsh(rho.mat) - rho.spectrum)) <= 1e-14
+        assert abs(np.trace(rho.mat).real - 1.0) <= 1e-15
+
     def test_bipartite_dimension_check(self):
         with pytest.raises(DimensionMismatch):
             bipartite(np.eye(6) / 6, 2, 2)
