@@ -86,7 +86,7 @@ from .petz import (
     reconstruct_cq,
     recovery_residual,
 )
-from .discord import (
+from .classicality import (
     ClassicalityCertificate,
     DiscordConfig,
     DiscordResult,

@@ -298,13 +298,13 @@ class ExtremalityReport(NamedTuple):
     dyad_count: int
 
 
-def is_extremal(p: Povm, rel_cutoff: float = EXTREMALITY_CUTOFF) -> ExtremalityReport:
+def is_extremal(p: Povm) -> ExtremalityReport:
     """Test POVM extremality by linear independence of spectral dyads.
 
     For each effect with spectral vectors e^m_1..e^m_{d_m}, the d_m^2
     operators |e^m_n><e^m_n'| are vectorized and stacked; the POVM is
     extremal exactly when the stack has full row rank. The numeric rank uses
-    a relative singular-value cutoff.
+    the relative singular-value cutoff ``EXTREMALITY_CUTOFF``.
     """
     d = p.dim
     rows = []
@@ -317,7 +317,7 @@ def is_extremal(p: Povm, rel_cutoff: float = EXTREMALITY_CUTOFF) -> ExtremalityR
                 rows.append(np.outer(en, enp.conj()).reshape(d * d))
     stack = np.array(rows)
     svals = np.linalg.svd(stack, compute_uv=False)
-    rank = int(np.count_nonzero(svals > rel_cutoff * svals[0])) if svals.size else 0
+    rank = int(np.count_nonzero(svals > EXTREMALITY_CUTOFF * svals[0])) if svals.size else 0
     return ExtremalityReport(extremal=rank == len(rows), rank=rank, dyad_count=len(rows))
 
 

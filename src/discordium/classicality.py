@@ -65,6 +65,7 @@ _EQ_TOL = 1e-5
 _CROSS_TOL = 1e-4
 _P_ORTHO_TOL = 1e-4
 
+# Equality-identity rows with p_a - c[a, a] at or below this impose nothing.
 _DENOM_CUTOFF = 1e-8
 
 
@@ -269,7 +270,26 @@ def _descend(obj: _BlockObjective, us: np.ndarray, max_iters: int, step_tol: flo
     return f, us, ~np.isin(np.arange(len(us)), live)
 
 
+def _commuting_start(gap: _DephasingGap, seed: int) -> np.ndarray:
+    """Eigenbasis of C = tr_B[(I (x) c) rho] for a seeded random Hermitian c.
+
+    For a cq state sum_a p_a |u_a><u_a| (x) rho_a, C = sum_a p_a tr(c rho_a)
+    |u_a><u_a|. Its eigenvalues tie (almost surely in c) only where
+    p_a rho_a = p_b rho_b, and on such an eigenspace the state is
+    I (x) p_a rho_a, block diagonal in any basis of it; so this basis is exact
+    for every cq state (commuting-family criterion of Dakic, Vedral and
+    Brukner, PRL 105, 190502, 2010). rho_A's eigenbasis is the c = I member.
+    c has its own stream, so the Haar restarts draw what they would without it.
+    """
+    d_b = gap.r.shape[1]
+    g = np.random.default_rng([seed, 1]).standard_normal((2, d_b, d_b))
+    c = g[0] + 1j * g[1]
+    return np.linalg.eigh(np.einsum("lk,ikjl->ij", c + _dag(c), gap.r))[1]
+
+
 def _check_config(cfg: DiscordConfig) -> None:
+    if cfg.seed < 0:
+        raise BadConfig(f"seed must be >= 0, got {cfg.seed}")
     if cfg.restarts < 1:
         raise BadConfig(f"restarts must be >= 1, got {cfg.restarts}")
     if cfg.max_iters < 1:
@@ -283,12 +303,14 @@ def discord(s: BipartiteState, cfg: DiscordConfig | None = None) -> DiscordResul
 
     Multi-start local minimization: from each start the basis follows the
     Riemannian steepest descent U <- U exp(i eta H) of the gap on U(d), with
-    the gap's analytic gradient. The first start is the eigenbasis of
-    rho_A (exact for generic classical-quantum states); the remaining starts
-    are Haar random from the seed. Restarts stop early once a basis with
-    numerically zero gap is found. With ``enlarge`` the A factor is first
-    zero-padded into dimension d_A^2 so the scan ranges over rank-one POVMs
-    rather than projective measurements only.
+    the gap's analytic gradient. The first start is the eigenbasis of a
+    random member tr_B[(I (x) c) rho] of the commuting family, exact for every
+    classical-quantum state (rho_A's eigenbasis is the c = I member, which is
+    arbitrary when rho_A is degenerate); the remaining starts are Haar random
+    from the seed. Restarts stop early once a basis with numerically zero gap
+    is found. With ``enlarge`` the A factor is first zero-padded into
+    dimension d_A^2 so the scan ranges over rank-one POVMs rather than
+    projective measurements only.
 
     The returned value is recomputed as I(rho) - I(D(rho)) at the best
     basis through the validated entropy path, so it satisfies the
@@ -299,8 +321,8 @@ def discord(s: BipartiteState, cfg: DiscordConfig | None = None) -> DiscordResul
     _check_config(cfg)
     work = embed_state(s, s.d_a * s.d_a) if cfg.enlarge else s
     gap = _DephasingGap(work.mat, work.d_a, work.d_b)
-    # Restart 0 (the rho_A eigenbasis) alone: on cq states no Haar start is drawn.
-    vals, us, oks = _descend(gap, np.linalg.eigh(gap.rho_a[np.newaxis])[1],
+    # Restart 0 alone: on cq states no Haar start is drawn.
+    vals, us, oks = _descend(gap, _commuting_start(gap, cfg.seed)[np.newaxis],
                              cfg.max_iters, cfg.step_tol)
     if not vals[0] < _EARLY_STOP and cfg.restarts > 1:
         haar = haar_unitary(work.d_a, np.random.default_rng(cfg.seed), cfg.restarts - 1)
@@ -390,14 +412,13 @@ def _bloch_bases(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def equality_weights(sqrt_a: np.ndarray, probs: np.ndarray,
-                     denom_cutoff: float = _DENOM_CUTOFF):
+def equality_weights(sqrt_a: np.ndarray, probs: np.ndarray):
     """Convex weights of the equality-case identity, rows as constraints.
 
     With c[a, a'] = |<a| rho_A^{1/2} |a'>|^2 in the measured basis, the
     identity says rho^B_a = sum_{a' != a} w[a, a'] rho^B_{a'} with
     w[a, a'] = c[a, a'] / (p_a - c[a, a]). A row whose denominator is at or
-    below ``denom_cutoff`` imposes no constraint and is flagged ineligible.
+    below ``_DENOM_CUTOFF`` imposes no constraint and is flagged ineligible.
     Returns ``(weights, eligible)``.
     """
     c = np.abs(np.asarray(sqrt_a)) ** 2
@@ -407,7 +428,7 @@ def equality_weights(sqrt_a: np.ndarray, probs: np.ndarray,
     eligible = np.zeros(n, dtype=bool)
     for a in range(n):
         denom = probs[a] - c[a, a]
-        if probs[a] > ZERO_PROB_CUTOFF and denom > denom_cutoff:
+        if probs[a] > ZERO_PROB_CUTOFF and denom > _DENOM_CUTOFF:
             eligible[a] = True
             w[a] = c[a] / denom
             w[a, a] = 0.0
@@ -458,15 +479,13 @@ def _convex_gap(target: np.ndarray, others: list) -> float:
 
 
 def peel_extremal(ensemble: ConditionalEnsemble, weights: np.ndarray,
-                  eligible: np.ndarray | None = None,
-                  eq_tol: float = _EQ_TOL,
-                  grouping_tol: float = GROUPING_TOL) -> PeelingTrace:
+                  eligible: np.ndarray | None = None) -> PeelingTrace:
     """Round-by-round convex-hull peeling of the conditional states.
 
     First validates the convex-combination identity on every eligible row
-    (raising :class:`NotAtEquality` past ``eq_tol``: the basis does not
+    (raising :class:`NotAtEquality` past ``_EQ_TOL``: the basis does not
     achieve the mutual-information equality). Indices with equal states
-    (trace distance within ``grouping_tol``, transitive closure) are grouped;
+    (trace distance within ``GROUPING_TOL``, transitive closure) are grouped;
     each round marks the groups whose states are not convex combinations of
     the other remaining groups' states as extremal, records the cross terms
     that must vanish between them and everything else still present, and
@@ -480,14 +499,14 @@ def peel_extremal(ensemble: ConditionalEnsemble, weights: np.ndarray,
         eligible = np.ones(n, dtype=bool) & (probs > ZERO_PROB_CUTOFF)
     residuals = equality_residuals(ensemble, weights, eligible)
     worst = np.nanmax(residuals) if np.any(~np.isnan(residuals)) else 0.0
-    if worst > eq_tol:
+    if worst > _EQ_TOL:
         a = int(np.nanargmax(residuals))
         raise NotAtEquality(
-            f"identity residual {worst:.3e} at index {a} exceeds {eq_tol:.1e}"
+            f"identity residual {worst:.3e} at index {a} exceeds {_EQ_TOL:.1e}"
         )
 
     active = [a for a in range(n) if ensemble.states[a] is not None]
-    groups = _group_equal_states(ensemble, active, grouping_tol)
+    groups = _group_equal_states(ensemble, active)
 
     working = list(range(len(groups)))
     rounds = []
@@ -501,7 +520,7 @@ def peel_extremal(ensemble: ConditionalEnsemble, weights: np.ndarray,
                 if g2 != g
             ]
             target = ensemble.states[groups[g][0]].mat
-            if _convex_gap(target, others) > grouping_tol:
+            if _convex_gap(target, others) > GROUPING_TOL:
                 extremal.append(g)
         if not extremal:
             extremal = list(working)
@@ -519,8 +538,7 @@ def peel_extremal(ensemble: ConditionalEnsemble, weights: np.ndarray,
     )
 
 
-def _group_equal_states(ensemble: ConditionalEnsemble, active: list,
-                        grouping_tol: float) -> list:
+def _group_equal_states(ensemble: ConditionalEnsemble, active: list) -> list:
     """Transitive-closure grouping by trace distance; lowest index leads."""
     parent = {a: a for a in active}
 
@@ -533,7 +551,7 @@ def _group_equal_states(ensemble: ConditionalEnsemble, active: list,
     for i, a in enumerate(active):
         for a2 in active[i + 1:]:
             d = trace_distance(ensemble.states[a].mat, ensemble.states[a2].mat)
-            if d <= grouping_tol:
+            if d <= GROUPING_TOL:
                 ra, rb = find(a), find(a2)
                 if ra != rb:
                     parent[max(ra, rb)] = min(ra, rb)
@@ -549,9 +567,7 @@ def _group_equal_states(ensemble: ConditionalEnsemble, active: list,
 
 
 def certify_classical(s: BipartiteState, tol: float = ZERO_DISCORD_TOL,
-                      cfg: DiscordConfig | None = None,
-                      grouping_tol: float = GROUPING_TOL,
-                      residual_factor: float = CERT_RESIDUAL_FACTOR):
+                      cfg: DiscordConfig | None = None):
     """Certify a state classical-quantum, or return a NotClassical witness.
 
     Runs :func:`discord` (projective, non-enlarged: the block-diagonalization
@@ -589,7 +605,7 @@ def certify_classical(s: BipartiteState, tol: float = ZERO_DISCORD_TOL,
     sqrt_a = matrix_function_on_support(rho_a, np.sqrt)
     weights, eligible = equality_weights(sqrt_a, ens.probs)
     try:
-        trace = peel_extremal(ens, weights, eligible, grouping_tol=grouping_tol)
+        trace = peel_extremal(ens, weights, eligible)
     except NotAtEquality as exc:
         raise CertificateInconsistent(
             f"peeling rejected the discord-zero basis: {exc}"
@@ -628,7 +644,7 @@ def certify_classical(s: BipartiteState, tol: float = ZERO_DISCORD_TOL,
     w = _complete_basis(np.array(w_cols).T, s.d_a)
     basis = u @ w
 
-    threshold = residual_factor * float(np.linalg.norm(s.mat))
+    threshold = CERT_RESIDUAL_FACTOR * float(np.linalg.norm(s.mat))
     residual = _offdiag_residual(s, basis)
     if residual > 0.25 * threshold:
         basis = _polish_basis(s, basis)
@@ -654,16 +670,16 @@ def certify_classical(s: BipartiteState, tol: float = ZERO_DISCORD_TOL,
                 )
             if rep is None:
                 rep = st
-            elif trace_distance(rep.mat, st.mat) > grouping_tol:
+            elif trace_distance(rep.mat, st.mat) > GROUPING_TOL:
                 raise CertificateInconsistent(
                     f"conditional states inside part {part} differ beyond "
-                    f"{grouping_tol:.1e}"
+                    f"{GROUPING_TOL:.1e}"
                 )
         conditional_states.append(rep)
     for i in range(len(conditional_states)):
         for j in range(i + 1, len(conditional_states)):
             d = trace_distance(conditional_states[i].mat, conditional_states[j].mat)
-            if d <= grouping_tol:
+            if d <= GROUPING_TOL:
                 raise CertificateInconsistent(
                     f"parts {i} and {j} carry equal conditional states "
                     f"(distance {d:.3e}); grouping is inconsistent"

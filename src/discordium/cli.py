@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .errors import DiscordiumError, ParseError
 from .counterexample import run_counterexample
-from .discord import (
+from .classicality import (
     DiscordConfig,
     NotClassical,
     ZERO_DISCORD_TOL,
@@ -50,13 +50,6 @@ _STATE_TOL = 1e-8
 _ENTROPY_REFERENCE = 1.7555
 _ZEROED_REFERENCE = 1.7546
 _REFERENCE_TOL = 5e-4
-
-
-def _default_seed() -> int:
-    try:
-        return int(os.environ.get("DISCORDIUM_SEED", "0"))
-    except ValueError:
-        return 0
 
 
 def _matrix_payload(m: np.ndarray, dims: list[int]) -> dict:
@@ -349,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit a canonical JSON report")
         if seeded:
             p.add_argument(
-                "--seed", type=int, default=_default_seed(),
+                # argparse passes a string default through ``type``: a bad value exits 2.
+                "--seed", type=int, default=os.environ.get("DISCORDIUM_SEED", "0"),
                 help="PRNG seed (default: DISCORDIUM_SEED env var or 0)",
             )
 

@@ -73,44 +73,34 @@ def require_unitary(u, dim: int | None = None) -> np.ndarray:
     return a
 
 
-def support_cutoff(eigenvalues: np.ndarray, scale: float = CUTOFF_SCALE) -> float:
+def support_cutoff(eigenvalues: np.ndarray) -> float:
     """Default threshold below which eigenvalues count as zero."""
     top = float(np.max(np.abs(eigenvalues), initial=0.0))
-    return scale * max(top, 1.0)
+    return CUTOFF_SCALE * max(top, 1.0)
 
 
-def hermitian_eig(m, tol: float = HERMITIAN_TOL, method: str = "lapack") -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
-
-    ``method="lapack"`` uses ``numpy.linalg.eigh``; ``method="jacobi"`` uses
-    the cyclic Jacobi solver below, which is slower but fully independent of
-    LAPACK and serves as a cross-check.
-    """
-    h = require_hermitian(m, tol)
-    if method == "jacobi":
-        return jacobi_eig(h, tol=tol)
-    if method != "lapack":
-        raise ValidationError(f"unknown eigensolver method {method!r}")
-    vals, vecs = np.linalg.eigh(h)
+def hermitian_eig(m) -> EigenDecomposition:
+    """Eigendecomposition of a Hermitian matrix by LAPACK, eigenvalues ascending."""
+    vals, vecs = np.linalg.eigh(require_hermitian(m))
     return EigenDecomposition(vals, vecs)
 
 
-def jacobi_eig(m, tol: float = HERMITIAN_TOL, sweep_tol: float = 1e-14,
-               max_sweeps: int = 100) -> EigenDecomposition:
+def jacobi_eig(m) -> EigenDecomposition:
     """Cyclic Jacobi eigensolver for complex Hermitian matrices.
 
-    Pivots sweep the strict upper triangle in fixed row-major order, so the
-    result is bit-reproducible. Each pivot applies the 2x2 unitary that
-    zeroes the pivot entry: a phase rotation making it real followed by the
-    classical symmetric Jacobi rotation.
+    Slower than :func:`hermitian_eig` but independent of LAPACK: the
+    reference that cross-checks it. Pivots sweep the strict upper triangle
+    in fixed row-major order, so the result is bit-reproducible. Each pivot
+    applies the 2x2 unitary that zeroes the pivot entry: a phase rotation
+    making it real followed by the classical symmetric Jacobi rotation.
     """
-    a = require_hermitian(m, tol).copy()
+    a = require_hermitian(m).copy()
     n = a.shape[0]
     v = np.eye(n, dtype=complex)
     scale = max(1.0, float(np.linalg.norm(a)))
-    for _ in range(max_sweeps):
+    for _ in range(100):
         off = float(np.linalg.norm(a - np.diag(np.diag(a))))
-        if off <= sweep_tol * scale:
+        if off <= 1e-14 * scale:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -141,20 +131,15 @@ def jacobi_eig(m, tol: float = HERMITIAN_TOL, sweep_tol: float = 1e-14,
     return EigenDecomposition(np.diag(a).real[order], v[:, order])
 
 
-def matrix_function_on_support(m, f: Callable[[np.ndarray], np.ndarray],
-                               cutoff: float | None = None) -> np.ndarray:
+def matrix_function_on_support(m, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Apply a scalar function to a PSD matrix on its support.
 
-    Eigenvalues at or below ``cutoff`` are treated as exact zeros and
-    excluded from ``f``, which makes functions like ``x**-0.5`` and ``log2``
-    well defined on rank-deficient inputs. ``cutoff=None`` selects the
-    package default relative threshold.
+    Eigenvalues at or below :func:`support_cutoff` are treated as exact
+    zeros and excluded from ``f``, which makes functions like ``x**-0.5``
+    and ``log2`` well defined on rank-deficient inputs.
     """
     vals, vecs = hermitian_eig(m)
-    if cutoff is None:
-        cutoff = support_cutoff(vals)
-    if cutoff < 0:
-        raise ValidationError(f"cutoff must be nonnegative, got {cutoff}")
+    cutoff = support_cutoff(vals)
     if np.any(vals < -cutoff):
         worst = float(vals.min())
         raise NotPositive(f"eigenvalue {worst:.3e} below -{cutoff:.1e}")

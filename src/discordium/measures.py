@@ -53,8 +53,7 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     return spectrum_entropy(rho.spectrum)
 
 
-def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix,
-                     cutoff: float | None = None) -> RelEntropyValue:
+def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> RelEntropyValue:
     """D(rho || sigma) = tr[rho (lg rho - lg sigma)] in bits.
 
     Both logarithms are taken on the respective supports. When the support
@@ -65,8 +64,7 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix,
     if rho.dim != sigma.dim:
         raise DimensionMismatch(f"dimension {rho.dim} vs {sigma.dim}")
     svals, svecs = hermitian_eig(sigma.mat)
-    if cutoff is None:
-        cutoff = support_cutoff(svals)
+    cutoff = support_cutoff(svals)
     # Weight of rho on each sigma eigenvector.
     overlaps = np.einsum("ij,ik,kj->j", svecs.conj(), rho.mat, svecs).real
     outside = float(np.sum(overlaps[svals <= cutoff]))

@@ -29,7 +29,7 @@ from discordium.channels import (
     refine_to_rank_one,
 )
 from discordium.counterexample import run_counterexample
-from discordium.discord import (
+from discordium.classicality import (
     ClassicalityCertificate,
     DiscordConfig,
     NotClassical,
@@ -261,7 +261,7 @@ def test_criterion_8_convex_combination_identity():
             "ibjb->ij", rotated.mat.reshape(s.d_a, s.d_b, s.d_a, s.d_b)
         )
         sqrt_a = matrix_function_on_support(rho_a, np.sqrt)
-        weights, eligible = equality_weights(sqrt_a, ens.probs, denom_cutoff=1e-8)
+        weights, eligible = equality_weights(sqrt_a, ens.probs)
         residuals = equality_residuals(ens, weights, eligible)
         for a in range(s.d_a):
             if eligible[a]:

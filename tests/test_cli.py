@@ -116,6 +116,24 @@ class TestDiscordCommand:
         assert code1 == code2 == 0
         assert out1 == out2
 
+    @pytest.mark.parametrize("bad", ["abc", "1.5"])
+    def test_malformed_seed_env_exits_2(self, cq_file, capsys, monkeypatch, bad):
+        monkeypatch.setenv("DISCORDIUM_SEED", bad)
+        with pytest.raises(SystemExit) as exc:
+            main(["discord", cq_file, "--json"])
+        assert exc.value.code == 2
+        assert repr(bad) in capsys.readouterr().err
+
+    def test_seed_env_honoured(self, cq_file, capsys, monkeypatch):
+        monkeypatch.setenv("DISCORDIUM_SEED", "5")
+        code, report = run_json(capsys, ["discord", cq_file, "--json"])
+        assert code == 0
+        assert report["seed"] == 5
+
+    def test_negative_seed_exits_2(self, cq_file, capsys):
+        assert main(["discord", cq_file, "--seed", "-1"]) == 2
+        assert "BadConfig" in capsys.readouterr().err
+
     def test_single_system_file_rejected(self, tmp_path, capsys):
         path = tmp_path / "single.json"
         write_state_file(str(path), np.eye(2) / 2, [2])

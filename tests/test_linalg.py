@@ -78,7 +78,7 @@ class TestJacobiEig:
     def test_method_switch(self):
         m = random_hermitian(4, np.random.default_rng(5))
         assert np.allclose(
-            hermitian_eig(m, method="jacobi").eigenvalues,
+            jacobi_eig(m).eigenvalues,
             hermitian_eig(m).eigenvalues,
             atol=1e-10,
         )
