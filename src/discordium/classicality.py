@@ -58,6 +58,13 @@ _BLOCK_SUPPORT = 1e-14
 # Bases per batched gap evaluation in the qubit oracle's grid scan.
 _ORACLE_CHUNK = 4096
 
+# The qubit oracle's zoom: a _WINDOW x _WINDOW scan over +-2 cells around the
+# best point, the cell shrinking _ZOOM-fold in each of _ZOOM_ROUNDS rounds.
+_WINDOW, _ZOOM, _ZOOM_ROUNDS = 9, 4.0, 18
+
+# Pauli matrices sigma_x, sigma_y, sigma_z.
+_PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
 # Consistency gates for the extraction path. These catch structural failure
 # (wrong basis, wrong grouping); the strict soundness check is the final
 # off-diagonal residual.
@@ -349,62 +356,49 @@ def _exact_gap(s: BipartiteState, basis: np.ndarray) -> float:
 
 
 def qubit_discord_oracle(s: BipartiteState, grid: int = 400) -> float:
-    """Independent discord oracle for d_A = 2 by exhaustive Bloch-angle grid.
+    """Independent discord oracle for d_A = 2 on closed-form Bloch blocks.
 
-    Projective qubit measurements are exactly the bases
-    {(cos t/2, e^{i p} sin t/2), (sin t/2, -e^{i p} cos t/2)}, so the gap is
-    scanned on a grid x grid lattice over (t, p) and the best cell is
-    refined by alternating golden-section line searches. Shares no search
-    machinery with :func:`discord`.
+    Measuring A along n = (sin t cos p, sin t sin p, cos t) leaves B in the
+    blocks B_+- = (rho_B +- sum_k n_k T_k) / 2, T_k = tr_A[(sigma_k (x) I) rho]
+    (Luo, PRA 77, 042303, 2008), and the gap's constant part comes from the
+    spectra of rho and rho_A, so no unitary is built. The gap is scanned on a
+    grid x grid lattice over (t, p), then on a grid zooming in on the best
+    point. Shares neither objective nor search with :func:`discord`.
     """
     if s.d_a != 2:
         raise WrongDimension(f"oracle requires d_a = 2, got {s.d_a}")
     if grid < 8:
         raise BadConfig(f"grid must be >= 8, got {grid}")
-    from scipy.optimize import minimize_scalar
+    r = s.mat.reshape(2, s.d_b, 2, s.d_b)
+    t_k = np.einsum("kji,ibjc->kbc", _PAULIS, r)
+    rho_b = np.einsum("ibic->bc", r)
+    w_ab, w_a = (np.clip(np.linalg.eigvalsh(x), 0.0, None)
+                 for x in (s.mat, partial_trace(s.mat, 2, s.d_b)))
+    const = _xlog2x(w_ab).sum() - _xlog2x(w_a).sum()
 
-    gap = _DephasingGap(s.mat, 2, s.d_b)
+    def gap(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+        n = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
+                      np.cos(theta)], axis=-1)
+        x = np.tensordot(n, t_k, axes=1)
+        w = np.clip(np.linalg.eigvalsh(0.5 * (rho_b + np.stack([x, -x], axis=1))), 0.0, None)
+        return const - _xlog2x(w).sum(axis=(1, 2)) + _xlog2x(w.sum(axis=2)).sum(axis=1)
+
+    def scan(thetas: np.ndarray, phis: np.ndarray):
+        ts, ps = (x.ravel() for x in np.meshgrid(thetas, phis, indexing="ij"))
+        vals = np.concatenate([gap(ts[i:i + _ORACLE_CHUNK], ps[i:i + _ORACLE_CHUNK])
+                               for i in range(0, ts.size, _ORACLE_CHUNK)])
+        k = int(np.argmin(vals))
+        return float(vals[k]), ts[k], ps[k]
 
     thetas = np.linspace(0.0, np.pi, grid)
     phis = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
-    tg, pg = np.meshgrid(thetas, phis, indexing="ij")
-    ts, ps = tg.ravel(), pg.ravel()
-    vals = np.concatenate([
-        gap.batch(_bloch_bases(ts[i:i + _ORACLE_CHUNK], ps[i:i + _ORACLE_CHUNK]))
-        for i in range(0, ts.size, _ORACLE_CHUNK)
-    ])
-    k = int(np.argmin(vals))
-    best = float(vals[k])
-    t0, p0 = ts[k], ps[k]
-
-    def f_angles(t, p):
-        return gap(_bloch_bases(np.array([t]), np.array([p]))[0])
-
-    def line_min(f, x, h):
-        return minimize_scalar(f, bounds=(x - 2 * h, x + 2 * h), method="bounded",
-                               options={"xatol": 1e-12})
-
-    ht = thetas[1] - thetas[0]
-    hp = phis[1] - phis[0]
-    t, p = float(t0), float(p0)
-    for _ in range(3):
-        t = float(line_min(lambda x: f_angles(x, p), t, ht).x)
-        res_p = line_min(lambda x: f_angles(t, x), p, hp)
-        p = float(res_p.x)
-        best = min(best, float(res_p.fun))
+    best, t, p = scan(thetas, phis)
+    ht, hp = thetas[1] - thetas[0], phis[1] - phis[0]
+    steps = np.linspace(-2.0, 2.0, _WINDOW)
+    for _ in range(_ZOOM_ROUNDS):
+        best, t, p = min((best, t, p), scan(t + ht * steps, p + hp * steps))
+        ht, hp = ht / _ZOOM, hp / _ZOOM
     return best
-
-
-def _bloch_bases(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    ct = np.cos(0.5 * theta)
-    st = np.sin(0.5 * theta)
-    ph = np.exp(1j * phi)
-    us = np.empty(theta.shape + (2, 2), dtype=complex)
-    us[..., 0, 0] = ct
-    us[..., 1, 0] = st * ph
-    us[..., 0, 1] = st
-    us[..., 1, 1] = -ct * ph
-    return us
 
 
 # ---------------------------------------------------------------------------

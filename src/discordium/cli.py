@@ -23,7 +23,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .errors import DiscordiumError, ParseError
+from .errors import BadConfig, DiscordiumError, ParseError
 from .counterexample import run_counterexample
 from .classicality import (
     DiscordConfig,
@@ -110,16 +110,14 @@ def read_matrix_file(path: str) -> tuple[np.ndarray, list[int]]:
     return _parse_matrix(payload, path)
 
 
-def read_state_file(path: str, raw: bool = False):
-    """Parse and (unless ``raw``) validate a state file.
+def read_state_file(path: str):
+    """Parse and validate a state file.
 
     Returns ``(matrix, dims)``; validation errors propagate with the
     offending invariant named.
     """
     mat, dims = read_matrix_file(path)
-    if not raw:
-        mat = validate_density(mat, tol=_STATE_TOL).mat
-    return mat, dims
+    return validate_density(mat, tol=_STATE_TOL).mat, dims
 
 
 def write_state_file(path: str, m: np.ndarray, dims: list[int]) -> None:
@@ -141,56 +139,38 @@ def _bipartite_from_file(path: str) -> BipartiteState:
     return bipartite(mat, dims[0], dims[1], tol=_STATE_TOL)
 
 
-def _report(command: str, inputs: dict, seed, tolerances: dict, results: dict) -> dict:
-    return {
-        "command": command,
-        "inputs": inputs,
-        "seed": seed,
-        "tolerances": tolerances,
-        "results": results,
-    }
-
-
-def _emit(report: dict, as_json: bool, wall_time: float, stream=None) -> None:
-    stream = stream or sys.stdout
+def _emit(report: dict, as_json: bool, wall_time: float) -> None:
     if as_json:
-        print(json.dumps(report, sort_keys=True), file=stream)
+        print(json.dumps(report, sort_keys=True))
         return
-    print(f"command: {report['command']}", file=stream)
+    print(f"command: {report['command']}")
     for name, info in report["inputs"].items():
-        print(f"input {name}: {info['path']} (sha256 {info['sha256'][:12]}...)", file=stream)
+        print(f"input {name}: {info['path']} (sha256 {info['sha256'][:12]}...)")
     if report["seed"] is not None:
-        print(f"seed: {report['seed']}", file=stream)
+        print(f"seed: {report['seed']}")
     for key, value in report["tolerances"].items():
-        print(f"tolerance {key}: {value}", file=stream)
+        print(f"tolerance {key}: {value}")
     for key, value in report["results"].items():
         if isinstance(value, dict) and "matrix" in value:
-            print(f"{key}: <matrix dims={value['dims']}>", file=stream)
+            print(f"{key}: <matrix dims={value['dims']}>")
         else:
-            print(f"{key}: {value}", file=stream)
-    print(f"wall time: {wall_time:.3f} s", file=stream)
+            print(f"{key}: {value}")
+    print(f"wall time: {wall_time:.3f} s")
 
 
-def _cmd_entropy(args) -> int:
-    mat, dims = read_state_file(args.state)
+# Each subcommand returns (tolerances, results, exit code); main() reports them.
+def _cmd_entropy(args) -> tuple[dict, dict, int]:
+    mat, _ = read_state_file(args.state)
     rho = validate_density(mat, tol=_STATE_TOL)
     results = {
         "entropy_bits": von_neumann_entropy(rho),
         "spectrum": [float(v) for v in rho.spectrum],
         "support_rank": rho.support_rank,
     }
-    report = _report(
-        "entropy",
-        {"state": {"path": args.state, "sha256": _digest(args.state)}},
-        None,
-        {"validation_tol": _STATE_TOL},
-        results,
-    )
-    _emit(report, args.json, time.perf_counter() - args._t0)
-    return 0
+    return {"validation_tol": _STATE_TOL}, results, 0
 
 
-def _cmd_discord(args) -> int:
+def _cmd_discord(args) -> tuple[dict, dict, int]:
     s = _bipartite_from_file(args.state)
     cfg = DiscordConfig(
         restarts=args.restarts,
@@ -206,23 +186,14 @@ def _cmd_discord(args) -> int:
         "enlarged": result.enlarged,
         "best_basis": _matrix_payload(result.best_basis, [result.best_basis.shape[0]]),
     }
-    report = _report(
-        "discord",
-        {"state": {"path": args.state, "sha256": _digest(args.state)}},
-        args.seed,
-        {"step_tol": cfg.step_tol},
-        results,
-    )
-    _emit(report, args.json, time.perf_counter() - args._t0)
-    return 0
+    return {"step_tol": cfg.step_tol}, results, 0
 
 
-def _cmd_certify(args) -> int:
+def _cmd_certify(args) -> tuple[dict, dict, int]:
     s = _bipartite_from_file(args.state)
     cfg = DiscordConfig(restarts=args.restarts, seed=args.seed)
     tol = args.tol if args.tol is not None else ZERO_DISCORD_TOL
     outcome = certify_classical(s, tol=tol, cfg=cfg)
-    inputs = {"state": {"path": args.state, "sha256": _digest(args.state)}}
     tolerances = {"discord_zero_tol": tol}
     if isinstance(outcome, NotClassical):
         results = {
@@ -230,23 +201,19 @@ def _cmd_certify(args) -> int:
             "witness_value_bits": outcome.value,
             "witness_basis": _matrix_payload(outcome.basis, [outcome.basis.shape[0]]),
         }
-        report = _report("certify", inputs, args.seed, tolerances, results)
-        _emit(report, args.json, time.perf_counter() - args._t0)
-        return 1
+        return tolerances, results, 1
     results = {
         "classical": True,
         "partition": [list(part) for part in outcome.partition],
         "residual": outcome.residual,
         "basis": _matrix_payload(outcome.basis, [outcome.basis.shape[0]]),
     }
-    report = _report("certify", inputs, args.seed, tolerances, results)
-    _emit(report, args.json, time.perf_counter() - args._t0)
-    return 0
+    return tolerances, results, 0
 
 
-def _cmd_petz_verify(args) -> int:
+def _cmd_petz_verify(args) -> tuple[dict, dict, int]:
     s = _bipartite_from_file(args.state)
-    basis, basis_dims = read_state_file(args.basis, raw=True)
+    basis, _ = read_matrix_file(args.basis)
     reconstruction = reconstruct_cq(s, basis)
     results = {
         "residual_trace_distance": trace_distance(s.mat, reconstruction),
@@ -255,21 +222,10 @@ def _cmd_petz_verify(args) -> int:
         ),
         "mutual_information_gap_bits": _exact_gap(s, basis),
     }
-    report = _report(
-        "petz-verify",
-        {
-            "state": {"path": args.state, "sha256": _digest(args.state)},
-            "basis": {"path": args.basis, "sha256": _digest(args.basis)},
-        },
-        None,
-        {"validation_tol": _STATE_TOL},
-        results,
-    )
-    _emit(report, args.json, time.perf_counter() - args._t0)
-    return 0
+    return {"validation_tol": _STATE_TOL}, results, 0
 
 
-def _cmd_counterexample(args) -> int:
+def _cmd_counterexample(args) -> tuple[dict, dict, int]:
     first, second = run_counterexample()
     checks = {
         "original_entropy_matches_reference": bool(
@@ -287,28 +243,17 @@ def _cmd_counterexample(args) -> int:
         "zeroing_inner_pair": second.to_dict(),
         "checks": checks,
     }
-    report = _report(
-        "counterexample",
-        {},
-        None,
-        {"reference_tol": _REFERENCE_TOL},
-        results,
-    )
-    _emit(report, args.json, time.perf_counter() - args._t0)
-    return 0 if all(checks.values()) else 2
+    return {"reference_tol": _REFERENCE_TOL}, results, 0 if all(checks.values()) else 2
 
 
-def _cmd_random(args) -> int:
+def _cmd_random(args) -> tuple[dict, dict, int]:
     if args.kind == "cq":
         if args.db is None:
             raise ParseError("--kind cq requires --db")
         state = random_cq_state(args.da, args.db, seed=args.seed)
         mat, dims = state.mat, [args.da, args.db]
     else:
-        if args.db is not None:
-            dims = [args.da, args.db]
-        else:
-            dims = [args.da]
+        dims = [args.da] if args.db is None else [args.da, args.db]
         dim = int(np.prod(dims))
         rank = args.rank if args.rank is not None else dim
         mat = random_state(dim, rank, seed=args.seed).mat
@@ -318,15 +263,7 @@ def _cmd_random(args) -> int:
         "dims": dims,
         "sha256": _digest(args.output),
     }
-    report = _report(
-        "random",
-        {},
-        args.seed,
-        {},
-        results,
-    )
-    _emit(report, args.json, time.perf_counter() - args._t0)
-    return 0
+    return {}, results, 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -338,12 +275,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"discordium {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
+    def seed(text: str) -> int:
+        # argparse exits 2 naming this type when int() fails; main() exits 2 on BadConfig.
+        value = int(text)
+        if value < 0:
+            raise BadConfig(f"seed must be >= 0, got {value}")
+        return value
+
     def add_common(p, seeded=True):
         p.add_argument("--json", action="store_true", help="emit a canonical JSON report")
         if seeded:
             p.add_argument(
                 # argparse passes a string default through ``type``: a bad value exits 2.
-                "--seed", type=int, default=os.environ.get("DISCORDIUM_SEED", "0"),
+                "--seed", type=seed, default=os.environ.get("DISCORDIUM_SEED", "0"),
                 help="PRNG seed (default: DISCORDIUM_SEED env var or 0)",
             )
 
@@ -393,13 +337,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    args._t0 = time.perf_counter()
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
+        args = parser.parse_args(argv)
+        tolerances, results, code = args.func(args)
     except DiscordiumError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    report = {
+        "command": args.subcommand,
+        "inputs": {name: {"path": path, "sha256": _digest(path)}
+                   for name in ("state", "basis") if (path := getattr(args, name, None))},
+        "seed": getattr(args, "seed", None),
+        "tolerances": tolerances,
+        "results": results,
+    }
+    _emit(report, args.json, time.perf_counter() - t0)
+    return code
 
 
 if __name__ == "__main__":

@@ -251,6 +251,20 @@ class TestRandomCommand:
         assert main(["random", "--kind", "cq", "--da", "2", "-o",
                      str(tmp_path / "x.json")]) == 2
 
+    @pytest.mark.parametrize("kind", ["cq", "haar"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, kind):
+        out = tmp_path / "x.json"
+        assert main(["random", "--kind", kind, "--da", "2", "--db", "2", "--seed", "-1",
+                     "-o", str(out)]) == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_env_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("DISCORDIUM_SEED", "-1")
+        assert main(["random", "--kind", "haar", "--da", "2", "-o",
+                     str(tmp_path / "x.json")]) == 2
+        assert "BadConfig" in capsys.readouterr().err
+
 
 def test_json_reports_round_trip(cq_file, capsys):
     code, report = run_json(capsys, ["discord", cq_file, "--json", "--seed", "1"])

@@ -358,6 +358,29 @@ class TestQubitOracle:
         monkeypatch.setattr(classicality, "_ORACLE_CHUNK", 150 * 150)
         assert qubit_discord_oracle(s, grid=150) == chunked
 
+    def test_runs_without_scipy(self):
+        code = ("import sys; sys.modules['scipy'] = None\n"
+                "import numpy as np\n"
+                "from discordium import bipartite, qubit_discord_oracle\n"
+                "v = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)\n"
+                "print(qubit_discord_oracle(bipartite(np.outer(v, v), 2, 2), grid=50))")
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(discordium.__file__))}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=env)
+        assert abs(float(out.stdout) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("d_b, rank", [(2, None), (3, None), (2, 1), (2, 2)])
+    def test_never_above_exact_gap_at_haar_bases(self, d_b, rank):
+        # Every A basis is a projective measurement, so the oracle's minimum
+        # over measurements is at most the gap at each basis, computed here by
+        # the entropy path, which shares no code with the search.
+        rng = np.random.default_rng(600 + 10 * d_b + (rank or 0))
+        for _ in range(3):
+            s = random_bipartite(2, d_b, rng, rank=rank)
+            oracle = qubit_discord_oracle(s, grid=100)
+            for u in haar_unitary(2, rng, 8):
+                assert oracle <= _exact_gap(s, u) + 1e-12
+
 
 def cq_ensemble_data(s, basis):
     """Conditional ensemble, root-overlap matrix, and weights at a basis."""
