@@ -4,13 +4,15 @@ Channels are stored in Kraus form only; superoperator matrices are never
 materialized. A :class:`KrausMap` is any completely positive map given by
 Kraus operators (possibly rectangular, out_dim x in_dim); a
 :class:`KrausChannel` additionally satisfies the trace-preservation
-completeness relation sum_i K_i† K_i = I.
+completeness relation sum_i K_i† K_i = I. Every operator family is one
+stacked array: Kraus operators of shape (n, out_dim, in_dim), POVM effects
+of shape (n, d, d), so each family operation is whole-array numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,9 +23,9 @@ from .errors import (
     NotRankOne,
 )
 from .linalg import (
+    _dag,
     block_diag,
     conjugate_a,
-    hermitian_eig,
     kron,
     matrix_function_on_support,
     require_unitary,
@@ -40,20 +42,25 @@ EXTREMALITY_CUTOFF = 1e-8
 
 @dataclass(frozen=True)
 class KrausMap:
-    """Completely positive map X -> sum_i K_i X K_i†."""
+    """Completely positive map X -> sum_i K_i X K_i†.
 
-    kraus_ops: tuple
+    ``kraus_ops`` is stored as one complex array of shape
+    (n, out_dim, in_dim); any sequence of n equal-shape matrices is accepted.
+    """
+
+    kraus_ops: np.ndarray
     in_dim: int
     out_dim: int
 
     def __post_init__(self):
-        ops = tuple(np.asarray(k, dtype=complex) for k in self.kraus_ops)
+        shape = (self.out_dim, self.in_dim)
+        try:
+            ops = np.asarray(self.kraus_ops, dtype=complex)
+        except ValueError:  # ragged or non-numeric
+            ops = None
+        if ops is None or ops.shape[1:] != shape:
+            raise DimensionMismatch(f"Kraus operators are not a stack of {shape} matrices")
         object.__setattr__(self, "kraus_ops", ops)
-        for k in ops:
-            if k.shape != (self.out_dim, self.in_dim):
-                raise DimensionMismatch(
-                    f"Kraus operator shape {k.shape} != ({self.out_dim}, {self.in_dim})"
-                )
 
 
 @dataclass(frozen=True)
@@ -62,7 +69,7 @@ class KrausChannel(KrausMap):
 
     def __post_init__(self):
         super().__post_init__()
-        acc = sum(k.conj().T @ k for k in self.kraus_ops)
+        acc = np.einsum("kji,kjl->il", self.kraus_ops.conj(), self.kraus_ops)
         defect = float(np.linalg.norm(acc - np.eye(self.in_dim)))
         if defect > COMPLETENESS_TOL:
             raise InvalidPovm(
@@ -75,10 +82,7 @@ def apply_matrix(ch: KrausMap, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
     if x.shape != (ch.in_dim, ch.in_dim):
         raise DimensionMismatch(f"operator shape {x.shape} vs in_dim {ch.in_dim}")
-    out = np.zeros((ch.out_dim, ch.out_dim), dtype=complex)
-    for k in ch.kraus_ops:
-        out += k @ x @ k.conj().T
-    return out
+    return np.sum(ch.kraus_ops @ x @ _dag(ch.kraus_ops), axis=0)
 
 
 def apply(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
@@ -88,11 +92,7 @@ def apply(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
 
 def adjoint(ch: KrausMap) -> KrausMap:
     """The adjoint map Y -> sum_i K_i† Y K_i (unital, not trace preserving)."""
-    return KrausMap(
-        kraus_ops=tuple(k.conj().T for k in ch.kraus_ops),
-        in_dim=ch.out_dim,
-        out_dim=ch.in_dim,
-    )
+    return KrausMap(kraus_ops=_dag(ch.kraus_ops), in_dim=ch.out_dim, out_dim=ch.in_dim)
 
 
 def dephasing_channel(basis: np.ndarray, d_a: int, d_b: int) -> KrausChannel:
@@ -129,41 +129,50 @@ def dephase(s: BipartiteState, basis: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Povm:
-    """Finite family of PSD effects summing to identity, with output labels."""
+    """Finite family of PSD effects summing to identity, with output labels.
 
-    effects: tuple
+    ``effects`` is stored as one complex array of shape (n, d, d); any
+    sequence of n equal-shape d x d matrices is accepted.
+    """
+
+    effects: np.ndarray
     labels: tuple
 
     def __post_init__(self):
-        effects = tuple(np.asarray(e, dtype=complex) for e in self.effects)
-        object.__setattr__(self, "effects", effects)
-        if len(effects) == 0:
+        n = len(self.effects)
+        if n == 0:
             raise InvalidPovm("POVM needs at least one effect")
-        if len(self.labels) != len(effects):
+        if len(self.labels) != n:
+            raise InvalidPovm(f"{len(self.labels)} labels for {n} effects")
+        d = np.shape(self.effects[0])[0]
+        try:
+            effects = np.asarray(self.effects, dtype=complex)
+        except ValueError:  # ragged or non-numeric, told apart below
+            effects = None
+        if effects is None or effects.shape != (n, d, d):
+            for label, e in zip(self.labels, self.effects):
+                if np.shape(e) != (d, d):
+                    raise InvalidPovm(f"effect {label!r} has shape {np.shape(e)}")
+            raise InvalidPovm("effects are not numeric matrices")
+        object.__setattr__(self, "effects", effects)
+        bad = np.max(np.abs(effects - _dag(effects)), axis=(1, 2)) > POVM_TOL
+        if bad.any():
+            raise InvalidPovm(f"effect {self.labels[np.argmax(bad)]!r} is not Hermitian")
+        vals = np.linalg.eigvalsh(0.5 * (effects + _dag(effects)))
+        bad = (vals[:, 0] < -POVM_TOL) | (vals[:, -1] > 1.0 + POVM_TOL)
+        if bad.any():
+            m = int(np.argmax(bad))
             raise InvalidPovm(
-                f"{len(self.labels)} labels for {len(effects)} effects"
+                f"effect {self.labels[m]!r} eigenvalues [{vals[m, 0]:.3e}, {vals[m, -1]:.3e}] "
+                "outside [0, 1]"
             )
-        d = effects[0].shape[0]
-        total = np.zeros((d, d), dtype=complex)
-        for label, e in zip(self.labels, effects):
-            if e.shape != (d, d):
-                raise InvalidPovm(f"effect {label!r} has shape {e.shape}")
-            if float(np.max(np.abs(e - e.conj().T))) > POVM_TOL:
-                raise InvalidPovm(f"effect {label!r} is not Hermitian")
-            vals = np.linalg.eigvalsh(0.5 * (e + e.conj().T))
-            if vals[0] < -POVM_TOL or vals[-1] > 1.0 + POVM_TOL:
-                raise InvalidPovm(
-                    f"effect {label!r} eigenvalues [{vals[0]:.3e}, {vals[-1]:.3e}] "
-                    "outside [0, 1]"
-                )
-            total += e
-        defect = float(np.linalg.norm(total - np.eye(d)))
+        defect = float(np.linalg.norm(effects.sum(axis=0) - np.eye(d)))
         if defect > POVM_TOL:
             raise InvalidPovm(f"effects sum defect {defect:.3e} exceeds {POVM_TOL:.1e}")
 
     @property
     def dim(self) -> int:
-        return self.effects[0].shape[0]
+        return self.effects.shape[1]
 
     @property
     def n_outcomes(self) -> int:
@@ -172,16 +181,15 @@ class Povm:
 
 def povm(effects, labels=None) -> Povm:
     """Build and validate a POVM; labels default to 0..n-1."""
-    effects = tuple(effects)
     if labels is None:
-        labels = tuple(range(len(effects)))
+        labels = range(len(effects))
     return Povm(effects=effects, labels=tuple(labels))
 
 
 def projective_povm(basis: np.ndarray) -> Povm:
     """Complete projective POVM onto the columns of a unitary."""
     u = require_unitary(basis)
-    return povm([np.outer(u[:, a], u[:, a].conj()) for a in range(u.shape[0])])
+    return povm(u.T[:, :, np.newaxis] * u.T.conj()[:, np.newaxis, :])
 
 
 @dataclass(frozen=True)
@@ -202,18 +210,22 @@ class Refinement:
             raise InvalidPovm("coarse_map keys must be exactly the fine labels")
         if set(self.coarse_map.values()) - coarse_labels:
             raise InvalidPovm("coarse_map targets unknown coarse labels")
-        d = self.fine.dim
-        for label, coarse_effect in zip(self.coarse.labels, self.coarse.effects):
-            acc = np.zeros((d, d), dtype=complex)
-            for f_label, f_effect in zip(self.fine.labels, self.fine.effects):
-                if self.coarse_map[f_label] == label:
-                    acc += f_effect
-            defect = float(np.linalg.norm(acc - coarse_effect))
-            if defect > POVM_TOL:
-                raise InvalidPovm(
-                    f"fine effects over label {label!r} miss the coarse effect "
-                    f"by {defect:.3e}"
-                )
+        acc = np.zeros_like(self.coarse.effects)
+        np.add.at(acc, _parents(self), self.fine.effects)
+        defects = np.linalg.norm(acc - self.coarse.effects, axis=(1, 2))
+        bad = defects > POVM_TOL
+        if bad.any():
+            m = int(np.argmax(bad))
+            raise InvalidPovm(
+                f"fine effects over label {self.coarse.labels[m]!r} miss the coarse effect "
+                f"by {defects[m]:.3e}"
+            )
+
+
+def _parents(r: Refinement) -> np.ndarray:
+    """Position in ``r.coarse`` of each fine effect's parent."""
+    position = {label: i for i, label in enumerate(r.coarse.labels)}
+    return np.array([position[r.coarse_map[label]] for label in r.fine.labels])
 
 
 def measurement_map(p: Povm) -> KrausChannel:
@@ -222,53 +234,42 @@ def measurement_map(p: Povm) -> KrausChannel:
     Kraus operators are the output-basis injections composed with the effect
     square roots: |m><k| M_m^{1/2} for every row k, so the output is diagonal
     in the standard basis of the outcome space with entries tr(M_m rho).
+    Operator m d + k is row m d + k of the block-diagonal stack of the roots.
     """
-    d = p.dim
-    n = p.n_outcomes
-    ops = []
-    for m_idx, effect in enumerate(p.effects):
-        root = matrix_function_on_support(effect, np.sqrt)
-        for k in range(d):
-            op = np.zeros((n, d), dtype=complex)
-            op[m_idx, :] = root[k, :]
-            ops.append(op)
-    return KrausChannel(kraus_ops=tuple(ops), in_dim=d, out_dim=n)
+    d, n = p.dim, p.n_outcomes
+    roots = np.array([matrix_function_on_support(e, np.sqrt) for e in p.effects])
+    return KrausChannel(kraus_ops=block_diag(roots).reshape(n * d, n, d), in_dim=d, out_dim=n)
 
 
-def _phase_fixed(v: np.ndarray) -> np.ndarray:
-    """Rotate a vector's global phase so its largest component is real positive."""
-    idx = int(np.argmax(np.abs(v)))
-    pivot = v[idx]
-    if abs(pivot) == 0.0:
-        return v.copy()
-    return v * (np.conj(pivot) / abs(pivot))
+def _spectral_rows(effects: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Scaled eigenvectors of a stack of effects, from one stacked ``eigh``.
+
+    Returns ``(rows, support)``: ``rows[m, j]`` is sqrt(lam) e for the j-th
+    largest eigenpair (lam, e) of effect m, and ``support[m, j]`` says lam is
+    above that effect's support cutoff.
+    """
+    vals, vecs = np.linalg.eigh(0.5 * (effects + _dag(effects)))
+    vals, vecs = vals[:, ::-1], vecs[:, :, ::-1]
+    support = vals > support_cutoff(vals)[:, np.newaxis]
+    rows = np.sqrt(np.where(support, vals, 0.0))[..., np.newaxis] * vecs.swapaxes(1, 2)
+    return rows, support
 
 
 def refine_to_rank_one(p: Povm) -> Refinement:
     """Split each effect into its scaled spectral dyads.
 
     Fine effects are lambda |e><e| over eigenpairs with eigenvalue above the
-    support cutoff; fine label (m, n) maps back to parent label m.
+    support cutoff, largest first; fine label (m, n) maps back to parent
+    label m.
     """
-    fine_effects = []
-    fine_labels = []
-    coarse_map = {}
-    for label, effect in zip(p.labels, p.effects):
-        vals, vecs = hermitian_eig(effect)
-        cutoff = support_cutoff(vals)
-        n = 0
-        for lam, vec in zip(vals[::-1], vecs.T[::-1]):
-            if lam <= cutoff:
-                continue
-            fine_effects.append(lam * np.outer(vec, vec.conj()))
-            f_label = (label, n)
-            fine_labels.append(f_label)
-            coarse_map[f_label] = label
-            n += 1
-        if n == 0:
-            raise InvalidPovm(f"effect {label!r} is numerically zero")
-    fine = Povm(effects=tuple(fine_effects), labels=tuple(fine_labels))
-    return Refinement(fine=fine, coarse=p, coarse_map=coarse_map)
+    rows, support = _spectral_rows(p.effects)
+    counts = support.sum(axis=1)
+    if not counts.all():
+        raise InvalidPovm(f"effect {p.labels[np.argmin(counts)]!r} is numerically zero")
+    fine_labels = tuple((label, n) for label, k in zip(p.labels, counts) for n in range(k))
+    vecs = rows[support]
+    fine = Povm(effects=vecs[:, :, np.newaxis] * vecs.conj()[:, np.newaxis, :], labels=fine_labels)
+    return Refinement(fine=fine, coarse=p, coarse_map={f: f[0] for f in fine_labels})
 
 
 def coarse_grain_channel(r: Refinement) -> KrausChannel:
@@ -282,14 +283,10 @@ def coarse_grain_channel(r: Refinement) -> KrausChannel:
     coarse_grain(measure_fine(X)) = measure_coarse(X) on all inputs.
     """
     n_fine = r.fine.n_outcomes
-    n_coarse = r.coarse.n_outcomes
-    coarse_pos = {label: i for i, label in enumerate(r.coarse.labels)}
-    ops = []
-    for f_idx, f_label in enumerate(r.fine.labels):
-        op = np.zeros((n_coarse, n_fine), dtype=complex)
-        op[coarse_pos[r.coarse_map[f_label]], f_idx] = 1.0
-        ops.append(op)
-    return KrausChannel(kraus_ops=tuple(ops), in_dim=n_fine, out_dim=n_coarse)
+    fine = np.arange(n_fine)
+    ops = np.zeros((n_fine, r.coarse.n_outcomes, n_fine))
+    ops[fine, _parents(r), fine] = 1.0
+    return KrausChannel(kraus_ops=ops, in_dim=n_fine, out_dim=r.coarse.n_outcomes)
 
 
 class ExtremalityReport(NamedTuple):
@@ -307,28 +304,12 @@ def is_extremal(p: Povm) -> ExtremalityReport:
     the relative singular-value cutoff ``EXTREMALITY_CUTOFF``.
     """
     d = p.dim
-    rows = []
-    for effect in p.effects:
-        vals, vecs = hermitian_eig(effect)
-        cutoff = support_cutoff(vals)
-        scaled = [np.sqrt(lam) * vecs[:, i] for i, lam in enumerate(vals) if lam > cutoff]
-        for en in scaled:
-            for enp in scaled:
-                rows.append(np.outer(en, enp.conj()).reshape(d * d))
-    stack = np.array(rows)
+    rows, support = _spectral_rows(p.effects)
+    dyads = np.einsum("mai,mbj->mabij", rows, rows.conj())
+    stack = dyads[support[:, :, np.newaxis] & support[:, np.newaxis, :]].reshape(-1, d * d)
     svals = np.linalg.svd(stack, compute_uv=False)
-    rank = int(np.count_nonzero(svals > EXTREMALITY_CUTOFF * svals[0])) if svals.size else 0
-    return ExtremalityReport(extremal=rank == len(rows), rank=rank, dyad_count=len(rows))
-
-
-def _rank_one_vector(effect: np.ndarray, label: Hashable) -> np.ndarray:
-    vals, vecs = hermitian_eig(effect)
-    cutoff = support_cutoff(vals)
-    if np.count_nonzero(vals > cutoff) != 1:
-        raise NotRankOne(
-            f"effect {label!r} has {np.count_nonzero(vals > cutoff)} nonzero eigenvalues"
-        )
-    return _phase_fixed(np.sqrt(vals[-1]) * vecs[:, -1])
+    rank = int(np.count_nonzero(svals > EXTREMALITY_CUTOFF * svals[0]))
+    return ExtremalityReport(extremal=rank == len(stack), rank=rank, dyad_count=len(stack))
 
 
 def povm_to_isometry(p: Povm) -> np.ndarray:
@@ -338,11 +319,14 @@ def povm_to_isometry(p: Povm) -> np.ndarray:
     |e_m> is real positive, which makes round-trips exact rather than
     per-element-phase ambiguous.
     """
-    vectors = [
-        _rank_one_vector(effect, label)
-        for label, effect in zip(p.labels, p.effects)
-    ]
-    iota = np.array([v.conj() for v in vectors])
+    rows, support = _spectral_rows(p.effects)
+    counts = support.sum(axis=1)
+    if (counts != 1).any():
+        m = int(np.argmax(counts != 1))
+        raise NotRankOne(f"effect {p.labels[m]!r} has {counts[m]} nonzero eigenvalues")
+    vecs = rows[:, 0]
+    pivot = vecs[np.arange(len(vecs)), np.argmax(np.abs(vecs), axis=1)]
+    iota = (vecs * (pivot.conj() / np.abs(pivot))[:, np.newaxis]).conj()
     defect = float(np.linalg.norm(iota.conj().T @ iota - np.eye(p.dim)))
     if defect > 1e-10:
         raise InvalidPovm(f"iota† iota defect {defect:.3e} exceeds 1e-10")
@@ -358,8 +342,7 @@ def isometry_to_povm(iota: np.ndarray, labels=None) -> Povm:
     defect = float(np.linalg.norm(iota.conj().T @ iota - np.eye(d)))
     if defect > 1e-10:
         raise NotIsometry(f"iota† iota defect {defect:.3e} exceeds 1e-10")
-    effects = [np.outer(row.conj(), row) for row in iota]
-    return povm(effects, labels=labels)
+    return povm(iota.conj()[:, :, np.newaxis] * iota[:, np.newaxis, :], labels=labels)
 
 
 def embed_state(s: BipartiteState, enlarged_dim: int) -> BipartiteState:

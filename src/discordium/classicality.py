@@ -23,7 +23,7 @@ from .errors import (
     WrongDimension,
 )
 from .channels import dephase, embed_state
-from .linalg import matrix_function_on_support, partial_trace, support_cutoff, trace_distance
+from .linalg import _dag, matrix_function_on_support, partial_trace, support_cutoff, trace_distance
 from .measures import mutual_information
 from .petz import recovery_residual
 from .states import (
@@ -46,6 +46,9 @@ CERT_RESIDUAL_FACTOR = 1e-7
 
 # Restarts stop early once a basis this close to zero gap is found.
 _EARLY_STOP = 1e-10
+
+# Descent steps per restart; a restart that reaches this is not converged.
+_MAX_ITERS = 200
 
 # Step multipliers the descent tries around its last accepted step, in one
 # batched evaluation.
@@ -81,7 +84,6 @@ class DiscordConfig:
     """Multi-start optimizer settings; identical seeds give identical runs."""
 
     restarts: int = 16
-    max_iters: int = 200
     step_tol: float = 1e-10
     enlarge: bool = False
     seed: int = 0
@@ -168,10 +170,6 @@ class _BlockObjective:
 
     def __call__(self, u: np.ndarray) -> float:
         return float(self.batch(u[np.newaxis])[0])
-
-
-def _dag(m: np.ndarray) -> np.ndarray:
-    return m.conj().swapaxes(-1, -2)
 
 
 def _xlog2x(w: np.ndarray) -> np.ndarray:
@@ -299,8 +297,6 @@ def _check_config(cfg: DiscordConfig) -> None:
         raise BadConfig(f"seed must be >= 0, got {cfg.seed}")
     if cfg.restarts < 1:
         raise BadConfig(f"restarts must be >= 1, got {cfg.restarts}")
-    if cfg.max_iters < 1:
-        raise BadConfig(f"max_iters must be >= 1, got {cfg.max_iters}")
     if not cfg.step_tol > 0:
         raise BadConfig(f"step_tol must be positive, got {cfg.step_tol}")
 
@@ -330,10 +326,10 @@ def discord(s: BipartiteState, cfg: DiscordConfig | None = None) -> DiscordResul
     gap = _DephasingGap(work.mat, work.d_a, work.d_b)
     # Restart 0 alone: on cq states no Haar start is drawn.
     vals, us, oks = _descend(gap, _commuting_start(gap, cfg.seed)[np.newaxis],
-                             cfg.max_iters, cfg.step_tol)
+                             _MAX_ITERS, cfg.step_tol)
     if not vals[0] < _EARLY_STOP and cfg.restarts > 1:
         haar = haar_unitary(work.d_a, np.random.default_rng(cfg.seed), cfg.restarts - 1)
-        f, u, ok = _descend(gap, haar, cfg.max_iters, cfg.step_tol)
+        f, u, ok = _descend(gap, haar, _MAX_ITERS, cfg.step_tol)
         vals, us, oks = np.append(vals, f), np.concatenate([us, u]), np.append(oks, ok)
     # As one restart after another: stop at the first running minimum below the early stop.
     hits = np.nonzero(np.minimum.accumulate(vals) < _EARLY_STOP)[0]

@@ -38,7 +38,7 @@ from .measures import von_neumann_entropy
 from .petz import reconstruct_cq
 from .states import (
     BipartiteState,
-    bipartite,
+    DensityMatrix,
     random_cq_state,
     random_state,
     validate_density,
@@ -110,14 +110,14 @@ def read_matrix_file(path: str) -> tuple[np.ndarray, list[int]]:
     return _parse_matrix(payload, path)
 
 
-def read_state_file(path: str):
+def read_state_file(path: str) -> tuple[DensityMatrix, list[int]]:
     """Parse and validate a state file.
 
-    Returns ``(matrix, dims)``; validation errors propagate with the
+    Returns ``(state, dims)``; validation errors propagate with the
     offending invariant named.
     """
     mat, dims = read_matrix_file(path)
-    return validate_density(mat, tol=_STATE_TOL).mat, dims
+    return validate_density(mat, tol=_STATE_TOL), dims
 
 
 def write_state_file(path: str, m: np.ndarray, dims: list[int]) -> None:
@@ -133,10 +133,10 @@ def _digest(path: str) -> str:
 
 
 def _bipartite_from_file(path: str) -> BipartiteState:
-    mat, dims = read_state_file(path)
+    rho, dims = read_state_file(path)
     if len(dims) != 2:
         raise ParseError(f"{path}: 'dims' must have two factors for this command")
-    return bipartite(mat, dims[0], dims[1], tol=_STATE_TOL)
+    return BipartiteState(state=rho, d_a=dims[0], d_b=dims[1])
 
 
 def _emit(report: dict, as_json: bool, wall_time: float) -> None:
@@ -160,8 +160,7 @@ def _emit(report: dict, as_json: bool, wall_time: float) -> None:
 
 # Each subcommand returns (tolerances, results, exit code); main() reports them.
 def _cmd_entropy(args) -> tuple[dict, dict, int]:
-    mat, _ = read_state_file(args.state)
-    rho = validate_density(mat, tol=_STATE_TOL)
+    rho, _ = read_state_file(args.state)
     results = {
         "entropy_bits": von_neumann_entropy(rho),
         "spectrum": [float(v) for v in rho.spectrum],

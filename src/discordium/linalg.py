@@ -38,6 +38,11 @@ class EigenDecomposition(NamedTuple):
     eigenvectors: np.ndarray
 
 
+def _dag(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of every matrix in a stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
 def as_square_matrix(m) -> np.ndarray:
     """Coerce to a square complex matrix with finite entries."""
     a = np.asarray(m, dtype=complex)
@@ -73,10 +78,13 @@ def require_unitary(u, dim: int | None = None) -> np.ndarray:
     return a
 
 
-def support_cutoff(eigenvalues: np.ndarray) -> float:
-    """Default threshold below which eigenvalues count as zero."""
-    top = float(np.max(np.abs(eigenvalues), initial=0.0))
-    return CUTOFF_SCALE * max(top, 1.0)
+def support_cutoff(eigenvalues: np.ndarray):
+    """Default threshold below which eigenvalues count as zero.
+
+    A stack of eigenvalue vectors gets one threshold per vector (last axis).
+    """
+    top = np.max(np.abs(eigenvalues), axis=-1, initial=0.0)
+    return CUTOFF_SCALE * np.maximum(top, 1.0)
 
 
 def hermitian_eig(m) -> EigenDecomposition:

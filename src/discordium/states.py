@@ -81,9 +81,6 @@ class ConditionalEnsemble:
     probs: np.ndarray
     states: tuple = field(default=())
 
-    def defined_indices(self) -> list[int]:
-        return [a for a, s in enumerate(self.states) if s is not None]
-
 
 def validate_density(m, tol: float = VALIDATION_TOL) -> DensityMatrix:
     """Validate (and minimally repair) a candidate density matrix.
@@ -144,13 +141,6 @@ def conditional_ensemble(s: BipartiteState,
         else:
             states.append(None)
     return ConditionalEnsemble(probs=probs, states=tuple(states))
-
-
-def assemble_blocks(blocks: np.ndarray) -> np.ndarray:
-    """Inverse of block access: stack a (d_a, d_a) grid of d_b x d_b blocks."""
-    d_a = blocks.shape[0]
-    d_b = blocks.shape[2]
-    return blocks.transpose(0, 2, 1, 3).reshape(d_a * d_b, d_a * d_b)
 
 
 def in_basis(s: BipartiteState, u: np.ndarray) -> BipartiteState:

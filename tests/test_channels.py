@@ -19,6 +19,8 @@ from discordium.errors import (
 )
 from discordium.channels import (
     KrausChannel,
+    KrausMap,
+    Refinement,
     adjoint,
     apply,
     apply_matrix,
@@ -34,6 +36,7 @@ from discordium.channels import (
     projective_povm,
     refine_to_rank_one,
 )
+from discordium.linalg import matrix_function_on_support
 from discordium.measures import mutual_information
 from discordium.states import (
     bipartite,
@@ -340,3 +343,116 @@ def test_embed_state_preserves_spectrum():
     small_spec = np.sort(s.state.spectrum)
     big_spec = np.sort(big.state.spectrum)[-4:]
     assert np.allclose(np.sort(big_spec), small_spec, atol=1e-12)
+
+
+class TestStackedValidation:
+    @pytest.mark.parametrize("effects, labels, message", [
+        ([np.eye(2) / 2, np.eye(3) / 2, np.eye(2) / 2], "xyz", "effect 'y' has shape (3, 3)"),
+        ([np.ones((2, 3)) / 2, np.ones((2, 3)) / 2], "xy", "effect 'x' has shape (2, 3)"),
+        ([], "", "POVM needs at least one effect"),
+        ([np.eye(2)], "xy", "2 labels for 1 effects"),
+        ([np.eye(2) / 2, [[0.5, 0.1], [0.0, 0.5]]], "xy", "effect 'y' is not Hermitian"),
+        ([np.eye(2) / 2, np.diag([1.5, 0.5])], "xy", "effect 'y' eigenvalues [5.000e-01, 1.500e+00]"),
+        ([np.eye(2) / 2, np.diag([-0.5, 0.5])], "xy", "effect 'y' eigenvalues [-5.000e-01, 5.000e-01]"),
+        ([np.eye(2) / 2, np.eye(2) / 4], "xy", "effects sum defect 3.536e-01"),
+        ([[["a", "b"], ["c", "d"]]], "x", "effects are not numeric matrices"),
+    ], ids=["ragged", "non-square", "empty", "label-count", "non-hermitian", "above-one",
+            "negative", "sum-defect", "non-numeric"])
+    def test_povm_rejection_names_label(self, effects, labels, message):
+        with pytest.raises(InvalidPovm) as exc:
+            povm(effects, labels=tuple(labels))
+        assert str(exc.value).startswith(message)
+
+    def test_refinement_names_missed_fiber(self):
+        units = [np.diag(np.eye(3)[k]) for k in range(3)]
+        fine = povm(units, labels=("a", "b", "c"))
+        coarse = povm(units, labels=("u", "v", "w"))
+        Refinement(fine=fine, coarse=coarse, coarse_map={"a": "u", "b": "v", "c": "w"})
+        with pytest.raises(InvalidPovm, match="over label 'v' miss the coarse effect"):
+            Refinement(fine=fine, coarse=coarse, coarse_map={"a": "u", "b": "w", "c": "v"})
+
+    @pytest.mark.parametrize("ops", [
+        (np.ones((3, 2)), np.ones((3, 3))),
+        (np.ones((3, 2)), np.ones((2, 3))),
+        (np.ones((2, 3)),),
+        np.ones((3, 2)),
+    ], ids=["ragged", "ragged-transposed", "wrong-shape", "bare-matrix"])
+    def test_kraus_shape_rejected(self, ops):
+        with pytest.raises(DimensionMismatch):
+            KrausMap(kraus_ops=ops, in_dim=2, out_dim=3)
+        with pytest.raises(DimensionMismatch):
+            KrausChannel(kraus_ops=ops, in_dim=2, out_dim=3)
+
+
+class TestStackedMatchesLoops:
+    """Each stacked construction against the per-operator loop it replaced."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_measurement_map(self, seed):
+        p = random_full_povm(3, 4, np.random.default_rng(seed))
+        d, n = p.dim, p.n_outcomes
+        ops = []
+        for m_idx, effect in enumerate(p.effects):
+            root = matrix_function_on_support(effect, np.sqrt)
+            for k in range(d):
+                op = np.zeros((n, d), dtype=complex)
+                op[m_idx, :] = root[k, :]
+                ops.append(op)
+        kraus = measurement_map(p).kraus_ops
+        assert isinstance(kraus, np.ndarray) and kraus.shape == (n * d, n, d)
+        assert np.array_equal(kraus, np.array(ops))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_coarse_grain_channel(self, seed):
+        r = refine_to_rank_one(random_full_povm(2, 3, np.random.default_rng(seed)))
+        n_fine, n_coarse = r.fine.n_outcomes, r.coarse.n_outcomes
+        coarse_pos = {label: i for i, label in enumerate(r.coarse.labels)}
+        ops = []
+        for f_idx, f_label in enumerate(r.fine.labels):
+            op = np.zeros((n_coarse, n_fine), dtype=complex)
+            op[coarse_pos[r.coarse_map[f_label]], f_idx] = 1.0
+            ops.append(op)
+        kraus = coarse_grain_channel(r).kraus_ops
+        assert kraus.shape == (n_fine, n_coarse, n_fine) and kraus.dtype == complex
+        assert np.array_equal(kraus, np.array(ops))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_adjoint(self, seed):
+        ch = random_channel(3, 2, 4, np.random.default_rng(seed))
+        kraus = adjoint(ch).kraus_ops
+        assert isinstance(ch.kraus_ops, np.ndarray) and ch.kraus_ops.shape == (4, 2, 3)
+        assert np.array_equal(kraus, np.array([k.conj().T for k in ch.kraus_ops]))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_projective_povm(self, seed):
+        u = haar_unitary(3, np.random.default_rng(seed))
+        effects = projective_povm(u).effects
+        assert isinstance(effects, np.ndarray) and effects.shape == (3, 3, 3)
+        assert np.array_equal(effects, np.array([np.outer(c, c.conj()) for c in u.T]))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_isometry_to_povm(self, seed):
+        iota = random_isometry(5, 2, np.random.default_rng(seed))
+        effects = isometry_to_povm(iota).effects
+        assert isinstance(effects, np.ndarray) and effects.shape == (5, 2, 2)
+        assert np.array_equal(effects, np.array([np.outer(row.conj(), row) for row in iota]))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_spectral_constructions(self, seed):
+        # One stacked eigh now serves both; the loops took one eigh per effect.
+        # The scaled products round differently, so allow a few ulps.
+        rng = np.random.default_rng(seed)
+        p = random_full_povm(3, 3, rng)
+        fine = []
+        for effect in p.effects:
+            vals, vecs = np.linalg.eigh(0.5 * (effect + effect.conj().T))
+            fine += [lam * np.outer(v, v.conj()) for lam, v in zip(vals[::-1], vecs.T[::-1])]
+        assert np.max(np.abs(refine_to_rank_one(p).fine.effects - np.array(fine))) <= 1e-15
+        p1 = random_rank1_povm(3, 6, rng)
+        rows = []
+        for effect in p1.effects:
+            vals, vecs = np.linalg.eigh(0.5 * (effect + effect.conj().T))
+            v = np.sqrt(vals[-1]) * vecs[:, -1]
+            pivot = v[np.argmax(np.abs(v))]
+            rows.append((v * np.conj(pivot) / abs(pivot)).conj())
+        assert np.max(np.abs(povm_to_isometry(p1) - np.array(rows))) <= 1e-15

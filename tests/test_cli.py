@@ -41,7 +41,8 @@ class TestStateFiles:
         path = tmp_path / "state.json"
         state = random_cq_state(2, 3, seed=3)
         write_state_file(str(path), state.mat, [2, 3])
-        mat, dims = read_state_file(str(path))
+        rho, dims = read_state_file(str(path))
+        mat = rho.mat
         assert dims == [2, 3]
         assert np.allclose(mat, state.mat, atol=1e-15)
 
@@ -52,7 +53,8 @@ class TestStateFiles:
             "matrix": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]],
         }
         path.write_text(json.dumps(payload))
-        mat, dims = read_state_file(str(path))
+        rho, dims = read_state_file(str(path))
+        mat = rho.mat
         assert np.allclose(mat, np.eye(2) / 2)
 
     def test_writes_are_deterministic(self, tmp_path):

@@ -231,10 +231,11 @@ class TestAnalyticGradient:
 
 
 class TestDescentStopping:
-    def test_iteration_cap_is_not_convergence(self):
+    def test_iteration_cap_is_not_convergence(self, monkeypatch):
         s = bipartite(random_state(4, 4, seed=501).mat, 2, 2)
-        capped = discord(s, DiscordConfig(restarts=1, max_iters=1))
         full = discord(s, DiscordConfig(restarts=1))
+        monkeypatch.setattr(classicality, "_MAX_ITERS", 1)
+        capped = discord(s, DiscordConfig(restarts=1))
         assert not capped.converged
         assert full.converged
         assert full.value <= capped.value + 1e-12
@@ -249,7 +250,8 @@ def serial_discord(s, cfg=DiscordConfig()):
     for restart in range(cfg.restarts):
         u0 = (classicality._commuting_start(gap, cfg.seed) if restart == 0
               else haar_unitary(work.d_a, rng))
-        (val,), (u,), (ok,) = _descend(gap, u0[np.newaxis], cfg.max_iters, cfg.step_tol)
+        (val,), (u,), (ok,) = _descend(gap, u0[np.newaxis], classicality._MAX_ITERS,
+                                       cfg.step_tol)
         used += 1
         if val < best_val:
             best_val, best_u, best_ok = val, u, ok
