@@ -27,7 +27,6 @@ from .linalg import (
     block_diag,
     conjugate_a,
     kron,
-    matrix_function_on_support,
     require_unitary,
     support_cutoff,
 )
@@ -234,10 +233,14 @@ def measurement_map(p: Povm) -> KrausChannel:
     Kraus operators are the output-basis injections composed with the effect
     square roots: |m><k| M_m^{1/2} for every row k, so the output is diagonal
     in the standard basis of the outcome space with entries tr(M_m rho).
-    Operator m d + k is row m d + k of the block-diagonal stack of the roots.
+    Operator m d + k is row m d + k of the block-diagonal stack of the roots,
+    from one stacked ``eigh`` (validation keeps eigenvalues above -``POVM_TOL``).
     """
     d, n = p.dim, p.n_outcomes
-    roots = np.array([matrix_function_on_support(e, np.sqrt) for e in p.effects])
+    vals, vecs = np.linalg.eigh(0.5 * (p.effects + _dag(p.effects)))
+    on = vals > support_cutoff(vals)[:, np.newaxis]
+    roots = (vecs * np.sqrt(np.where(on, vals, 0.0))[:, np.newaxis, :]) @ _dag(vecs)
+    roots = 0.5 * (roots + _dag(roots))
     return KrausChannel(kraus_ops=block_diag(roots).reshape(n * d, n, d), in_dim=d, out_dim=n)
 
 

@@ -12,7 +12,7 @@ tolerances.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import accumulate
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .errors import (
     WrongDimension,
 )
 from .channels import dephase, embed_state
-from .linalg import _dag, matrix_function_on_support, partial_trace, support_cutoff, trace_distance
+from .linalg import _dag, matrix_function_on_support, partial_trace, support_cutoff
 from .measures import mutual_information
 from .petz import recovery_residual
 from .states import (
@@ -413,16 +413,20 @@ def equality_weights(sqrt_a: np.ndarray, probs: np.ndarray):
     """
     c = np.abs(np.asarray(sqrt_a)) ** 2
     probs = np.asarray(probs, dtype=float)
-    n = probs.size
-    w = np.zeros((n, n))
-    eligible = np.zeros(n, dtype=bool)
-    for a in range(n):
-        denom = probs[a] - c[a, a]
-        if probs[a] > ZERO_PROB_CUTOFF and denom > _DENOM_CUTOFF:
-            eligible[a] = True
-            w[a] = c[a] / denom
-            w[a, a] = 0.0
+    denom = probs - np.diag(c)
+    eligible = (probs > ZERO_PROB_CUTOFF) & (denom > _DENOM_CUTOFF)
+    w = np.divide(c, denom[:, np.newaxis], out=np.zeros_like(c), where=eligible[:, np.newaxis])
+    np.fill_diagonal(w, 0.0)
     return w, eligible
+
+
+def _state_stack(ensemble: ConditionalEnsemble):
+    """``(stack, defined)``: the conditional states as one array, zero where undefined."""
+    defined = np.array([st is not None for st in ensemble.states])
+    mats = [st.mat for st in ensemble.states if st is not None]
+    stack = np.zeros((defined.size, *mats[0].shape), dtype=complex)
+    stack[defined] = mats
+    return stack, defined
 
 
 def equality_residuals(ensemble: ConditionalEnsemble, weights: np.ndarray,
@@ -431,124 +435,121 @@ def equality_residuals(ensemble: ConditionalEnsemble, weights: np.ndarray,
 
     Ineligible rows (vacuous denominator or zero probability) come back NaN.
     """
-    n = ensemble.probs.size
-    out = np.full(n, np.nan)
-    for a in range(n):
-        if not eligible[a] or ensemble.states[a] is None:
-            continue
-        combo = sum(weights[a, a2] * st.mat for a2, st in enumerate(ensemble.states)
-                    if a2 != a and st is not None)
-        out[a] = float(np.linalg.norm(ensemble.states[a].mat - combo))
+    mats, defined = _state_stack(ensemble)
+    combos = np.einsum("ab,bij->aij", weights * (1.0 - np.eye(defined.size)), mats)
+    return np.where(eligible & defined, np.linalg.norm(mats - combos, axis=(1, 2)), np.nan)
+
+
+def _half_trace_norms(x: np.ndarray) -> np.ndarray:
+    """Half the trace norm of a Hermitian matrix, or of each one in a stack."""
+    return 0.5 * np.abs(np.linalg.eigvalsh(x)).sum(axis=-1)
+
+
+def _pairwise_trace_distances(mats: np.ndarray) -> np.ndarray:
+    """(n, n) trace distances in a Hermitian stack, from one ``eigvalsh`` of the differences."""
+    n = len(mats)
+    i, j = np.triu_indices(n, 1)
+    out = np.zeros((n, n))
+    out[i, j] = out[j, i] = _half_trace_norms(mats[i] - mats[j])
     return out
 
 
-def _real_vec(m: np.ndarray) -> np.ndarray:
-    return np.concatenate([m.real.ravel(), m.imag.ravel()])
+def _group_equal_states(mats: np.ndarray) -> list:
+    """Index groups of a state stack within ``GROUPING_TOL``, closed transitively by
+    boolean squaring; each is sorted, and the groups go in order of their lowest index."""
+    reach = _pairwise_trace_distances(mats) <= GROUPING_TOL
+    for _ in range(len(mats).bit_length()):
+        reach = reach @ reach
+    return [np.flatnonzero(row) for row in reach[np.unique(reach.argmax(axis=1))]]
 
 
-def _convex_gap(target: np.ndarray, others: list) -> float:
-    """Trace distance from ``target`` to the simplex hull of ``others``.
+@lru_cache
+def _faces(k: int):
+    """``(on, fill, rhs)`` of the 2^k - 1 faces' KKT systems: a face keeps the bordered Gram
+    matrix where ``on`` holds, else ``fill``, a unit diagonal that zeroes the dropped weights."""
+    member = (np.arange(1, 2 ** k)[:, np.newaxis] >> np.arange(k) & 1).astype(bool)
+    keep = np.hstack([member, np.ones((len(member), 1), dtype=bool)])
+    fill = np.zeros((len(member), k + 1, k + 1))
+    fill[:, np.arange(k), np.arange(k)] = ~member
+    return keep[:, :, np.newaxis] & keep[:, np.newaxis, :], fill, np.eye(k + 1)[:, k:]
 
-    Solved as nonnegative least squares with a penalty row enforcing that
-    the weights sum to one.
+
+def _convex_gap(target: np.ndarray, others) -> float:
+    """Trace distance from ``target`` T to its Frobenius projection on the hull of ``others``.
+
+    The projection is, on the face in whose relative interior it lies, the
+    least ||sum_i x_i (P_i - T)||_F with sum_i x_i = 1: [[G, 1], [1^T, 0]]
+    [x; mu] = [0; 1], G the Gram matrix of the points centred on T (which
+    keeps distances near ``GROUPING_TOL`` precise). All faces are solved in
+    one batch; the nearest x >= 0 is exact. Affinely dependent faces are
+    singular and dropped, as a smaller face holds the same point; a poorly
+    conditioned one can only lose, as every x >= 0 is a convex combination.
     """
-    from scipy.optimize import nnls
-
-    if not others:
-        return np.inf
-    penalty = 1e3
-    a = np.vstack([np.stack([_real_vec(o) for o in others], axis=1),
-                   penalty * np.ones((1, len(others)))])
-    b = np.concatenate([_real_vec(target), [penalty]])
-    x, _ = nnls(a, b)
-    total = float(x.sum())
-    if total <= 1e-12:
-        return np.inf
-    combo = sum(xi * o for xi, o in zip(x, others)) / total
-    return trace_distance(target, combo)
+    q = np.asarray(others) - target
+    k = len(q)
+    if k <= 1:
+        return float(_half_trace_norms(q[0])) if k else np.inf
+    flat = q.reshape(k, -1)
+    v = flat.view(float)
+    kkt = np.ones((k + 1, k + 1))
+    kkt[:k, :k] = v @ v.T
+    kkt[k, k] = 0.0
+    on, fill, rhs = _faces(k)
+    kkt = np.where(on, kkt, fill)
+    try:
+        x = np.linalg.solve(kkt, rhs)[:, :k, 0]
+    except np.linalg.LinAlgError:
+        x = np.linalg.solve(kkt[np.linalg.det(kkt) != 0.0], rhs)[:, :k, 0]
+    combos = x @ flat
+    dist = np.where(x.min(axis=1) >= 0.0, np.linalg.norm(combos, axis=1), np.inf)
+    return float(_half_trace_norms(combos[np.argmin(dist)].reshape(q.shape[1:])))
 
 
 def peel_extremal(ensemble: ConditionalEnsemble, weights: np.ndarray,
-                  eligible: np.ndarray | None = None) -> PeelingTrace:
+                  eligible: np.ndarray) -> PeelingTrace:
     """Round-by-round convex-hull peeling of the conditional states.
 
-    First validates the convex-combination identity on every eligible row
-    (raising :class:`NotAtEquality` past ``_EQ_TOL``: the basis does not
+    First validates the convex-combination identity on every ``eligible``
+    row (raising :class:`NotAtEquality` past ``_EQ_TOL``: the basis does not
     achieve the mutual-information equality). Indices with equal states
     (trace distance within ``GROUPING_TOL``, transitive closure) are grouped;
-    each round marks the groups whose states are not convex combinations of
-    the other remaining groups' states as extremal, records the cross terms
-    that must vanish between them and everything else still present, and
-    removes them. If a round finds no extremal group (a numerically flat
-    hull), all remaining groups are taken in one final layer; downstream
-    orthogonality checks remain in force either way.
+    each round marks as extremal the groups whose states lie farther than
+    ``GROUPING_TOL`` from the convex hull of the other remaining groups'
+    states (trace distance to the exact Frobenius projection,
+    :func:`_convex_gap`), records the cross terms that must vanish between
+    them and everything else still present, and removes them. If a round
+    finds no extremal group (a numerically flat hull), all remaining groups
+    are taken in one final layer; downstream orthogonality checks remain in
+    force either way.
     """
-    probs = ensemble.probs
-    n = probs.size
-    if eligible is None:
-        eligible = np.ones(n, dtype=bool) & (probs > ZERO_PROB_CUTOFF)
     residuals = equality_residuals(ensemble, weights, eligible)
-    worst = np.nanmax(residuals) if np.any(~np.isnan(residuals)) else 0.0
+    worst = np.nanmax(residuals, initial=0.0)
     if worst > _EQ_TOL:
-        a = int(np.nanargmax(residuals))
-        raise NotAtEquality(
-            f"identity residual {worst:.3e} at index {a} exceeds {_EQ_TOL:.1e}"
-        )
+        raise NotAtEquality(f"identity residual {worst:.3e} at index "
+                            f"{np.nanargmax(residuals)} exceeds {_EQ_TOL:.1e}")
 
-    active = [a for a in range(n) if ensemble.states[a] is not None]
-    groups = _group_equal_states(ensemble, active)
+    mats, defined = _state_stack(ensemble)
+    active = np.flatnonzero(defined)
+    groups = [tuple(active[g].tolist()) for g in _group_equal_states(mats[active])]
+    reps = mats[[g[0] for g in groups]]
 
     working = list(range(len(groups)))
     rounds = []
     pairs = set()
     while working:
-        extremal = []
-        for g in working:
-            others = [
-                ensemble.states[groups[g2][0]].mat
-                for g2 in working
-                if g2 != g
-            ]
-            target = ensemble.states[groups[g][0]].mat
-            if _convex_gap(target, others) > GROUPING_TOL:
-                extremal.append(g)
-        if not extremal:
-            extremal = list(working)
-        round_indices = sorted(a for g in extremal for a in groups[g])
-        rounds.append(tuple(round_indices))
+        extremal = [g for g in working if _convex_gap(
+            reps[g], reps[[h for h in working if h != g]]) > GROUPING_TOL] or working
+        rounds.append(tuple(sorted(a for g in extremal for a in groups[g])))
         pairs.update((min(a, a2), max(a, a2)) for g in extremal for g2 in working
                      if g2 != g for a in groups[g] for a2 in groups[g2])
         working = [g for g in working if g not in extremal]
 
     return PeelingTrace(
-        groups=tuple(tuple(g) for g in groups),
+        groups=tuple(groups),
         rounds=tuple(rounds),
         vanishing_pairs=tuple(sorted(pairs)),
         eq_residuals=residuals,
     )
-
-
-def _group_equal_states(ensemble: ConditionalEnsemble, active: list) -> list:
-    """Transitive-closure grouping by trace distance; lowest index leads."""
-    parent = {a: a for a in active}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i, a in enumerate(active):
-        for a2 in active[i + 1:]:
-            d = trace_distance(ensemble.states[a].mat, ensemble.states[a2].mat)
-            if d <= GROUPING_TOL:
-                ra, rb = find(a), find(a2)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-    buckets: dict[int, list] = {}
-    for a in active:
-        buckets.setdefault(find(a), []).append(a)
-    return [sorted(buckets[r]) for r in sorted(buckets)]
 
 
 # ---------------------------------------------------------------------------
@@ -609,29 +610,25 @@ def certify_classical(s: BipartiteState, tol: float = ZERO_DISCORD_TOL,
                 f"should vanish but exceeds {_CROSS_TOL:.1e}"
             )
 
-    projectors = [sqrt_a[:, list(g)] @ sqrt_a[list(g), :] for g in trace.groups]
-    for i in range(len(projectors)):
-        for j in range(i + 1, len(projectors)):
-            cross = float(np.linalg.norm(projectors[i] @ projectors[j]))
-            if cross > _P_ORTHO_TOL:
-                raise CertificateInconsistent(
-                    f"group projectors {i} and {j} overlap: ||P_i P_j|| = {cross:.3e}"
-                )
-
-    w_cols = []
-    part_sizes = []
-    for i, p_mat in enumerate(projectors):
-        vals, vecs = np.linalg.eigh(0.5 * (p_mat + p_mat.conj().T))
-        keep = np.nonzero(vals > support_cutoff(vals))[0][::-1]
-        if len(keep) == 0:
-            raise CertificateInconsistent(
-                f"group projector {i} has numerically empty support"
-            )
-        part_sizes.append(len(keep))
-        w_cols.extend(vecs[:, keep].T)
-    if not w_cols:
+    if not trace.groups:
         raise CertificateInconsistent("no supported group projectors found")
-    w = _complete_basis(np.array(w_cols).T, s.d_a)
+    projectors = np.array([sqrt_a[:, g] @ sqrt_a[g, :] for g in map(list, trace.groups)])
+    cross = np.linalg.norm(projectors[:, np.newaxis] @ projectors, axis=(2, 3))
+    overlap = np.argwhere(np.triu(cross > _P_ORTHO_TOL, 1))
+    if overlap.size:
+        i, j = overlap[0]
+        raise CertificateInconsistent(
+            f"group projectors {i} and {j} overlap: ||P_i P_j|| = {cross[i, j]:.3e}"
+        )
+
+    vals, vecs = np.linalg.eigh(0.5 * (projectors + _dag(projectors)))
+    keep = vals > support_cutoff(vals)[:, np.newaxis]
+    part_sizes = keep.sum(axis=1)
+    if not part_sizes.all():
+        raise CertificateInconsistent(f"group projector {np.argmin(part_sizes)} has "
+                                      "numerically empty support")
+    # Each projector's supported eigenvectors, largest eigenvalue first.
+    w = _complete_basis(vecs[..., ::-1].swapaxes(1, 2)[keep[:, ::-1]].T, s.d_a)
     basis = u @ w
 
     threshold = CERT_RESIDUAL_FACTOR * float(np.linalg.norm(s.mat))
@@ -645,40 +642,35 @@ def certify_classical(s: BipartiteState, tol: float = ZERO_DISCORD_TOL,
             "in the extracted basis"
         )
 
-    offsets = [0, *accumulate(part_sizes)]
-    partition = [tuple(range(lo, hi)) for lo, hi in zip(offsets, offsets[1:])]
-
+    ends = np.cumsum(part_sizes)
+    leads = ends - part_sizes
+    partition = tuple(tuple(range(lo, hi)) for lo, hi in zip(leads, ends))
     final = conditional_ensemble(in_basis(s, basis), zero_prob_cutoff=prob_cutoff)
-    conditional_states = []
-    for part, group in zip(partition, trace.groups):
-        rep = None
-        for j in part:
-            st = final.states[j]
-            if st is None:
-                raise CertificateInconsistent(
-                    f"certified index {j} has vanishing probability"
-                )
-            if rep is None:
-                rep = st
-            elif trace_distance(rep.mat, st.mat) > GROUPING_TOL:
-                raise CertificateInconsistent(
-                    f"conditional states inside part {part} differ beyond "
-                    f"{GROUPING_TOL:.1e}"
-                )
-        conditional_states.append(rep)
-    for i in range(len(conditional_states)):
-        for j in range(i + 1, len(conditional_states)):
-            d = trace_distance(conditional_states[i].mat, conditional_states[j].mat)
-            if d <= GROUPING_TOL:
-                raise CertificateInconsistent(
-                    f"parts {i} and {j} carry equal conditional states "
-                    f"(distance {d:.3e}); grouping is inconsistent"
-                )
+    mats, defined = _state_stack(final)
+    n = ends[-1]
+    dist = _pairwise_trace_distances(mats[:n])
+    # Index j fails when its state is undefined or far from its part's first one.
+    bad = ~defined[:n] | (dist[np.repeat(leads, part_sizes), np.arange(n)] > GROUPING_TOL)
+    if bad.any():
+        j = int(np.argmax(bad))
+        if not defined[j]:
+            raise CertificateInconsistent(f"certified index {j} has vanishing probability")
+        raise CertificateInconsistent(
+            f"conditional states inside part {partition[np.searchsorted(ends, j, 'right')]} "
+            f"differ beyond {GROUPING_TOL:.1e}"
+        )
+    equal = np.argwhere(np.triu(dist[np.ix_(leads, leads)] <= GROUPING_TOL, 1))
+    if equal.size:
+        i, j = equal[0]
+        raise CertificateInconsistent(
+            f"parts {i} and {j} carry equal conditional states "
+            f"(distance {dist[leads[i], leads[j]]:.3e}); grouping is inconsistent"
+        )
 
     return ClassicalityCertificate(
         basis=basis,
-        partition=tuple(partition),
-        conditional_states=tuple(conditional_states),
+        partition=partition,
+        conditional_states=tuple(final.states[lo] for lo in leads),
         residual=residual,
     )
 

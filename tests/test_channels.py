@@ -402,6 +402,20 @@ class TestStackedMatchesLoops:
         assert isinstance(kraus, np.ndarray) and kraus.shape == (n * d, n, d)
         assert np.array_equal(kraus, np.array(ops))
 
+    @pytest.mark.parametrize("kind", ["full", "rank1", "projective"])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_measurement_map_roots(self, kind, seed):
+        # The effect roots from one stacked eigh, against one
+        # matrix_function_on_support call per effect.
+        rng = np.random.default_rng(900 + seed)
+        d = 2 + seed % 3
+        p = {"full": lambda: random_full_povm(d, 1 + seed % 5, rng),
+             "rank1": lambda: random_rank1_povm(d, d + 1 + seed % 3, rng),
+             "projective": lambda: projective_povm(haar_unitary(d, rng))}[kind]()
+        roots = np.array([matrix_function_on_support(e, np.sqrt) for e in p.effects])
+        kraus = measurement_map(p).kraus_ops.reshape(p.n_outcomes, p.dim, p.n_outcomes, p.dim)
+        assert np.array_equal(kraus[np.arange(p.n_outcomes), :, np.arange(p.n_outcomes)], roots)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_coarse_grain_channel(self, seed):
         r = refine_to_rank_one(random_full_povm(2, 3, np.random.default_rng(seed)))
