@@ -11,7 +11,7 @@ tolerances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -23,7 +23,7 @@ from .errors import (
     WrongDimension,
 )
 from .channels import dephase, embed_state
-from .linalg import _dag, matrix_function_on_support, partial_trace, support_cutoff
+from .linalg import CUTOFF_SCALE, _dag, matrix_function_on_support, partial_trace, support_cutoff
 from .measures import mutual_information
 from .petz import recovery_residual
 from .states import (
@@ -34,6 +34,7 @@ from .states import (
     conditional_ensemble,
     haar_unitary,
     in_basis,
+    validate_density,
 )
 
 # Default tolerances: discord-zero threshold in bits, conditional-state
@@ -138,7 +139,8 @@ class PeelingTrace:
     ``groups`` partitions indices by equal conditional state; ``rounds``
     lists, per peeling round, the indices whose states were extremal in the
     remaining hull; ``vanishing_pairs`` are the index pairs whose
-    root-overlap cross terms the argument forces to zero;
+    root-overlap cross terms the argument forces to zero, which is every
+    pair of indices in different groups;
     ``eq_residuals[a]`` is the convex-combination identity residual (NaN
     where the denominator made the row vacuous).
     """
@@ -420,22 +422,13 @@ def equality_weights(sqrt_a: np.ndarray, probs: np.ndarray):
     return w, eligible
 
 
-def _state_stack(ensemble: ConditionalEnsemble):
-    """``(stack, defined)``: the conditional states as one array, zero where undefined."""
-    defined = np.array([st is not None for st in ensemble.states])
-    mats = [st.mat for st in ensemble.states if st is not None]
-    stack = np.zeros((defined.size, *mats[0].shape), dtype=complex)
-    stack[defined] = mats
-    return stack, defined
-
-
 def equality_residuals(ensemble: ConditionalEnsemble, weights: np.ndarray,
                        eligible: np.ndarray) -> np.ndarray:
     """Frobenius residual of the convex-combination identity per row.
 
     Ineligible rows (vacuous denominator or zero probability) come back NaN.
     """
-    mats, defined = _state_stack(ensemble)
+    mats, defined = ensemble.states, ensemble.defined
     combos = np.einsum("ab,bij->aij", weights * (1.0 - np.eye(defined.size)), mats)
     return np.where(eligible & defined, np.linalg.norm(mats - combos, axis=(1, 2)), np.nan)
 
@@ -520,7 +513,9 @@ def peel_extremal(ensemble: ConditionalEnsemble, weights: np.ndarray,
     them and everything else still present, and removes them. If a round
     finds no extremal group (a numerically flat hull), all remaining groups
     are taken in one final layer; downstream orthogonality checks remain in
-    force either way.
+    force either way. Both groups of a pair are still present when the first
+    of them is peeled, so the vanishing pairs are all cross-group pairs
+    whatever the hull tests find; those shape only ``rounds``.
     """
     residuals = equality_residuals(ensemble, weights, eligible)
     worst = np.nanmax(residuals, initial=0.0)
@@ -528,8 +523,8 @@ def peel_extremal(ensemble: ConditionalEnsemble, weights: np.ndarray,
         raise NotAtEquality(f"identity residual {worst:.3e} at index "
                             f"{np.nanargmax(residuals)} exceeds {_EQ_TOL:.1e}")
 
-    mats, defined = _state_stack(ensemble)
-    active = np.flatnonzero(defined)
+    mats = ensemble.states
+    active = np.flatnonzero(ensemble.defined)
     groups = [tuple(active[g].tolist()) for g in _group_equal_states(mats[active])]
     reps = mats[[g[0] for g in groups]]
 
@@ -571,10 +566,15 @@ def certify_classical(s: BipartiteState, tol: float = ZERO_DISCORD_TOL,
     diagonalization. The resulting basis is polished against the off-diagonal
     block mass when needed and the certificate is verified against its own
     invariants before being returned; any failed check raises
-    :class:`CertificateInconsistent`.
+    :class:`CertificateInconsistent`. A NaN or negative ``tol`` and an
+    enlarging ``cfg`` raise :class:`BadConfig`.
     """
     cfg = cfg or DiscordConfig()
-    result = discord(s, replace(cfg, enlarge=False))
+    if not tol >= 0.0:
+        raise BadConfig(f"tol must be >= 0, got {tol}")
+    if cfg.enlarge:
+        raise BadConfig("certification searches bases of A itself; enlarge must be False")
+    result = discord(s, cfg)
     if result.value > tol:
         return NotClassical(
             value=result.value,
@@ -585,14 +585,11 @@ def certify_classical(s: BipartiteState, tol: float = ZERO_DISCORD_TOL,
     u = result.best_basis
     rotated = in_basis(s, u)
     rho_a = partial_trace(rotated.mat, s.d_a, s.d_b)
-    # Indices outside the numerical support of rho_A carry no usable
-    # conditional state and are excluded from the partition outright; their
-    # contribution is bounded by the support cutoff and stays far below the
-    # certificate residual threshold.
-    prob_cutoff = max(
-        ZERO_PROB_CUTOFF, support_cutoff(np.linalg.eigvalsh(rho_a))
-    )
-    ens = conditional_ensemble(rotated, zero_prob_cutoff=prob_cutoff)
+    # Indices outside the numerical support of rho_A (whose eigenvalues are at
+    # most 1, so its cutoff is CUTOFF_SCALE) carry no usable conditional state
+    # and are excluded from the partition outright; their contribution stays
+    # far below the certificate residual threshold.
+    ens = conditional_ensemble(rotated, zero_prob_cutoff=CUTOFF_SCALE)
     sqrt_a = matrix_function_on_support(rho_a, np.sqrt)
     weights, eligible = equality_weights(sqrt_a, ens.probs)
     try:
@@ -645,8 +642,8 @@ def certify_classical(s: BipartiteState, tol: float = ZERO_DISCORD_TOL,
     ends = np.cumsum(part_sizes)
     leads = ends - part_sizes
     partition = tuple(tuple(range(lo, hi)) for lo, hi in zip(leads, ends))
-    final = conditional_ensemble(in_basis(s, basis), zero_prob_cutoff=prob_cutoff)
-    mats, defined = _state_stack(final)
+    final = conditional_ensemble(in_basis(s, basis), zero_prob_cutoff=CUTOFF_SCALE)
+    mats, defined = final.states, final.defined
     n = ends[-1]
     dist = _pairwise_trace_distances(mats[:n])
     # Index j fails when its state is undefined or far from its part's first one.
@@ -667,10 +664,15 @@ def certify_classical(s: BipartiteState, tol: float = ZERO_DISCORD_TOL,
             f"(distance {dist[leads[i], leads[j]]:.3e}); grouping is inconsistent"
         )
 
+    # Only the part representatives leave the package, so only they are
+    # validated. Dividing by a tiny probability amplifies the state's own
+    # rounding noise by 1/p, so the validation tolerance grows accordingly.
+    reps = tuple(validate_density(mats[lo], tol=max(1e-8, 1e-14 / final.probs[lo]))
+                 for lo in leads)
     return ClassicalityCertificate(
         basis=basis,
         partition=partition,
-        conditional_states=tuple(final.states[lo] for lo in leads),
+        conditional_states=reps,
         residual=residual,
     )
 

@@ -122,9 +122,12 @@ def read_state_file(path: str) -> tuple[DensityMatrix, list[int]]:
 
 def write_state_file(path: str, m: np.ndarray, dims: list[int]) -> None:
     payload = _matrix_payload(m, dims)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc.strerror or exc}") from exc
 
 
 def _digest(path: str) -> str:
@@ -246,16 +249,15 @@ def _cmd_counterexample(args) -> tuple[dict, dict, int]:
 
 
 def _cmd_random(args) -> tuple[dict, dict, int]:
+    if args.kind == "cq" and args.db is None:
+        raise ParseError("--kind cq requires --db")
+    dims = [args.da] if args.db is None else [args.da, args.db]
+    if min(dims) < 1:
+        raise ParseError(f"dimensions must be >= 1, got {dims}")
     if args.kind == "cq":
-        if args.db is None:
-            raise ParseError("--kind cq requires --db")
-        state = random_cq_state(args.da, args.db, seed=args.seed)
-        mat, dims = state.mat, [args.da, args.db]
+        mat = random_cq_state(*dims, seed=args.seed).mat
     else:
-        dims = [args.da] if args.db is None else [args.da, args.db]
-        dim = int(np.prod(dims))
-        rank = args.rank if args.rank is not None else dim
-        mat = random_state(dim, rank, seed=args.seed).mat
+        mat = random_state(int(np.prod(dims)), args.rank, seed=args.seed).mat
     write_state_file(args.output, mat, dims)
     results = {
         "written": args.output,

@@ -25,9 +25,9 @@ from .linalg import (
     trace_distance,
 )
 from .states import (
-    ZERO_PROB_CUTOFF,
     BipartiteState,
     DensityMatrix,
+    conditional_ensemble,
     in_basis,
     reduced_state,
 )
@@ -77,7 +77,8 @@ def reconstruct_cq(s: BipartiteState, basis: np.ndarray) -> np.ndarray:
     """Closed form of the recovery output for the block-dephasing channel.
 
     Returns sum_a rho_A^{1/2} |a><a| rho_A^{1/2} (x) rho^B_a with |a> the
-    basis columns and rho^B_a the conditional states in that basis. This is
+    basis columns and rho^B_a the conditional states in that basis (zero
+    where :func:`conditional_ensemble` leaves them undefined). This is
     exactly the Petz map of the dephasing channel at reference
     rho_A (x) rho_B applied to the dephased state, and it reproduces the
     state itself precisely when dephasing in ``basis`` loses no mutual
@@ -85,11 +86,8 @@ def reconstruct_cq(s: BipartiteState, basis: np.ndarray) -> np.ndarray:
     """
     u = require_unitary(basis, s.d_a)
     sqrt_a = matrix_function_on_support(reduced_state(s, "A"), np.sqrt)
-    blocks = np.einsum("abac->abc", in_basis(s, u).mat.reshape(s.d_a, s.d_b, s.d_a, s.d_b))
-    probs = np.trace(blocks, axis1=1, axis2=2).real
-    # rho^B_a = B_a / p_a; a block at or below the zero-probability cutoff contributes 0.
-    scale = np.divide(1.0, probs, out=np.zeros_like(probs), where=probs > ZERO_PROB_CUTOFF)
-    out = conjugate_a(block_diag(blocks * scale[:, np.newaxis, np.newaxis]), (sqrt_a @ u).conj().T)
+    states = conditional_ensemble(in_basis(s, u)).states
+    out = conjugate_a(block_diag(states), (sqrt_a @ u).conj().T)
     return 0.5 * (out + out.conj().T)
 
 

@@ -7,7 +7,7 @@ never touch global PRNG state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -72,14 +72,20 @@ class BipartiteState:
 
 @dataclass(frozen=True)
 class ConditionalEnsemble:
-    """Block traces p_a and normalized diagonal blocks of a bipartite state.
+    """Block traces p_a and the conditional states of a bipartite state.
 
-    ``states[a]`` is ``None`` where ``probs[a]`` is at or below the
-    zero-probability cutoff: those conditional states are undefined.
+    ``states`` is one (d_a, d_b, d_b) array: row a is block_a / p_a, or zero
+    where ``probs[a]`` is at or below the zero-probability cutoff and the
+    conditional state is undefined.
     """
 
     probs: np.ndarray
-    states: tuple = field(default=())
+    states: np.ndarray
+
+    @property
+    def defined(self) -> np.ndarray:
+        """Mask of the defined states; a defined state has unit trace, so it is not zero."""
+        return self.states.any(axis=(1, 2))
 
 
 def validate_density(m, tol: float = VALIDATION_TOL) -> DensityMatrix:
@@ -125,22 +131,13 @@ def conditional_ensemble(s: BipartiteState,
                          zero_prob_cutoff: float = ZERO_PROB_CUTOFF) -> ConditionalEnsemble:
     """Probabilities p_a = tr(block(a, a)) and conditional states block/p_a.
 
-    Dividing by a tiny probability amplifies the state's own rounding noise
-    by 1/p_a, so the validation tolerance grows accordingly rather than
-    rejecting blocks that are PSD up to floating error.
+    The states are not validated: the caller that hands one out validates it.
     """
-    probs = np.empty(s.d_a)
-    states: list[DensityMatrix | None] = []
-    for a in range(s.d_a):
-        blk = block(s, a, a)
-        p = float(np.trace(blk).real)
-        probs[a] = p
-        if p > zero_prob_cutoff:
-            tol = max(1e-8, 1e-14 / p)
-            states.append(validate_density(blk / p, tol=tol))
-        else:
-            states.append(None)
-    return ConditionalEnsemble(probs=probs, states=tuple(states))
+    blocks = np.einsum("abac->abc", s.mat.reshape(s.d_a, s.d_b, s.d_a, s.d_b))
+    probs = np.trace(blocks, axis1=1, axis2=2).real
+    p = probs[:, np.newaxis, np.newaxis]
+    states = np.divide(blocks, p, out=np.zeros_like(blocks), where=p > zero_prob_cutoff)
+    return ConditionalEnsemble(probs=probs, states=states)
 
 
 def in_basis(s: BipartiteState, u: np.ndarray) -> BipartiteState:

@@ -102,6 +102,13 @@ def test_empty_projector_support(monkeypatch):
     assert msg == "group projector 2 has numerically empty support"
 
 
+def test_dependent_group_eigenvectors(monkeypatch):
+    # ||P_0 P_1|| ~ 1e-9 passes the overlap gate, but the two supports give
+    # three eigenvectors in dimension 2.
+    msg = fail(monkeypatch, cq_state([1 - 1e-9, 1e-9]), np.eye(2), ((0, 1), (1,)))
+    assert msg == "group eigenvectors are not linearly independent"
+
+
 def test_no_groups(monkeypatch):
     msg = fail(monkeypatch, cq_state([0.5, 0.3, 0.2]), np.eye(3), ())
     assert msg == "no supported group projectors found"
@@ -137,7 +144,7 @@ def test_vanishing_probability(monkeypatch):
         ens = conditional_ensemble(s, zero_prob_cutoff=zero_prob_cutoff)
         calls.append(ens)
         if len(calls) == 2:
-            ens = ConditionalEnsemble(ens.probs, (ens.states[0], None, *ens.states[2:]))
+            ens = ConditionalEnsemble(ens.probs, ens.states * [[[1]], [[0]], [[1]]])
         return ens
 
     monkeypatch.setattr(classicality, "conditional_ensemble", drop_one)

@@ -166,6 +166,20 @@ class TestCertifyCommand:
         assert code == 0
         assert report["results"]["partition"] == [[0, 1]]
 
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_bad_tol_exits_2(self, tmp_path, bell_file, capsys, tol):
+        # Accepted, tol -1 would report the cq file not classical (exit 1) and
+        # tol nan would send the generic one into extraction.
+        cq = str(tmp_path / "cq.json")
+        assert main(["random", "--kind", "cq", "--da", "2", "--db", "2", "--seed", "3",
+                     "-o", cq]) == 0
+        capsys.readouterr()
+        for path in (cq, bell_file):
+            assert main(["certify", path, "--tol", tol]) == 2
+            captured = capsys.readouterr()
+            assert f"error: BadConfig: tol must be >= 0, got {float(tol)}" in captured.err
+            assert captured.out == ""
+
 
 class TestPetzVerifyCommand:
     def test_cq_with_generating_basis(self, tmp_path, capsys):
@@ -260,6 +274,20 @@ class TestRandomCommand:
                      "-o", str(out)]) == 2
         assert "seed must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("kind, da, db", [("cq", "0", "2"), ("cq", "2", "0"),
+                                              ("haar", "0", "2"), ("haar", "2", "-1")])
+    def test_dimension_below_one_exits_2(self, tmp_path, capsys, kind, da, db):
+        out = tmp_path / "x.json"
+        assert main(["random", "--kind", kind, "--da", da, "--db", db, "-o", str(out)]) == 2
+        assert f"error: ParseError: dimensions must be >= 1, got [{da}, {db}]" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.json"
+        assert main(["random", "--kind", "haar", "--da", "2", "-o", str(out)]) == 2
+        assert f"error: ParseError: {out}: " in capsys.readouterr().err
 
     def test_negative_seed_env_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("DISCORDIUM_SEED", "-1")

@@ -493,6 +493,20 @@ def test_degenerate_rho_a_family_certifies(family):
 
 
 class TestCertify:
+    @pytest.mark.parametrize("tol", [-1.0, -1e-300, float("nan")])
+    def test_bad_tol_rejected(self, tol):
+        # tol = -1 would report the exact cq state NotClassical at a -6.7e-16 gap.
+        with pytest.raises(BadConfig, match="tol must be >= 0"):
+            certify_classical(random_cq_state(2, 2, seed=3), tol=tol)
+
+    def test_enlarge_rejected(self):
+        with pytest.raises(BadConfig, match="enlarge must be False"):
+            certify_classical(random_cq_state(2, 2, seed=3), cfg=DiscordConfig(enlarge=True))
+
+    def test_zero_tol_accepted(self):
+        assert isinstance(certify_classical(random_cq_state(2, 2, seed=3), tol=0.0),
+                          (ClassicalityCertificate, NotClassical))
+
     @pytest.mark.parametrize("seed", range(5))
     def test_random_cq_certificate(self, seed):
         s, _, probs, parts = random_cq_state_with_parts(3, 2, seed=700 + seed)

@@ -123,12 +123,59 @@ class TestGrouping:
         step = 0.6e-6 * np.diag([1.0, -1.0])
         mats = [base, other, base + 2 * step, base + step]
         ens = ConditionalEnsemble(probs=np.full(4, 0.25),
-                                  states=tuple(validate_density(m) for m in mats))
+                                  states=np.array([validate_density(m).mat for m in mats]))
         trace = peel_extremal(ens, np.zeros((4, 4)), np.zeros(4, dtype=bool))
         assert trace.groups == ((0, 2, 3), (1,))
         assert trace.rounds == ((0, 1, 2, 3),)
 
     def test_eligible_is_required(self):
-        ens = ConditionalEnsemble(probs=np.ones(1), states=(validate_density(np.eye(2) / 2),))
+        ens = ConditionalEnsemble(probs=np.ones(1), states=np.eye(2)[np.newaxis] / 2)
         with pytest.raises(TypeError):
             peel_extremal(ens, np.zeros((1, 1)))
+
+
+def cross_group_pairs(groups):
+    return tuple(sorted((min(a, b), max(a, b)) for i, g in enumerate(groups)
+                        for h in groups[i + 1:] for a in g for b in h))
+
+
+class TestVanishingPairs:
+    """Each pair of groups is still in play when the first of the two is peeled,
+    so the vanishing pairs are all cross-group pairs; the hull tests shape only
+    the rounds."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_all_cross_group_pairs_over_three_rounds(self, seed):
+        # Four corners, interior mixtures of them and the interior points' mean,
+        # one corner and one interior point repeated, in a shuffled order.
+        rng = np.random.default_rng([80, seed])
+        d_b, m = 2 + seed % 2, 3 + seed % 3
+        corners = states(rng, d_b, [d_b] * 4)
+        inner = np.tensordot(rng.dirichlet(np.ones(4), size=m), corners, axes=1)
+        mats = np.concatenate([corners, inner, inner.mean(axis=0, keepdims=True),
+                               corners[[seed % 4]], inner[[0]]])
+        order = rng.permutation(len(mats))
+        n = len(mats)
+        ens = ConditionalEnsemble(probs=np.full(n, 1.0 / n), states=mats[order])
+        trace = peel_extremal(ens, np.zeros((n, n)), np.zeros(n, dtype=bool))
+        layer = np.argsort(order)
+        assert len(trace.groups) == n - 2
+        assert trace.rounds == (tuple(sorted(layer[[*range(4), n - 2]])),
+                                tuple(sorted(layer[[*range(4, 4 + m), n - 1]])),
+                                (layer[4 + m],))
+        assert trace.vanishing_pairs == cross_group_pairs(trace.groups)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_all_cross_group_pairs_on_random_ensembles(self, seed):
+        # Random states and random mixtures of them; the mixtures need not be interior.
+        rng = np.random.default_rng([81, seed])
+        d_b = 2 + seed % 2
+        base = states(rng, d_b, rng.integers(1, d_b + 1, size=rng.integers(2, 6)))
+        mixes = np.tensordot(rng.dirichlet(np.ones(len(base)), size=rng.integers(1, 4)),
+                             base, axes=1)
+        mats = np.concatenate([base, mixes, base[:1]])
+        n = len(mats)
+        ens = ConditionalEnsemble(probs=np.full(n, 1.0 / n), states=mats)
+        trace = peel_extremal(ens, np.zeros((n, n)), np.zeros(n, dtype=bool))
+        assert len(trace.rounds) > 1
+        assert trace.vanishing_pairs == cross_group_pairs(trace.groups)

@@ -130,10 +130,11 @@ def ensemble_reconstruction(s, basis):
     """sum_a rho_A^{1/2} |a><a| rho_A^{1/2} (x) rho^B_a from validated conditional states."""
     sqrt_a = matrix_function_on_support(reduced_state(s, "A"), np.sqrt)
     out = np.zeros_like(s.mat)
-    for a, st in enumerate(conditional_ensemble(in_basis(s, basis)).states):
-        if st is not None:
-            col = sqrt_a @ basis[:, a]
-            out += kron(np.outer(col, col.conj()), st.mat)
+    ens = conditional_ensemble(in_basis(s, basis))
+    for a in np.flatnonzero(ens.defined):
+        st = validate_density(ens.states[a], tol=max(1e-8, 1e-14 / ens.probs[a]))
+        col = sqrt_a @ basis[:, a]
+        out += kron(np.outer(col, col.conj()), st.mat)
     return out
 
 

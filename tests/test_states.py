@@ -103,7 +103,7 @@ class TestConditionalEnsemble:
         ens = conditional_ensemble(s)
         assert np.allclose(ens.probs, probs, atol=1e-12)
         for got, expected in zip(ens.states, parts):
-            assert np.allclose(got.mat, expected, atol=1e-12)
+            assert np.allclose(got, expected, atol=1e-12)
 
     def test_product_state_blocks_equal(self):
         rng = np.random.default_rng(4)
@@ -111,7 +111,7 @@ class TestConditionalEnsemble:
         rho_b = random_density(3, 3, rng)
         ens = conditional_ensemble(bipartite(kron(rho_a, rho_b), 2, 3))
         for st in ens.states:
-            assert np.allclose(st.mat, rho_b, atol=1e-10)
+            assert np.allclose(st, rho_b, atol=1e-10)
 
     def test_counterexample_values(self):
         # p_0 = p_1 = 0.5 and both conditional states equal the 0.25/0.14
@@ -119,8 +119,8 @@ class TestConditionalEnsemble:
         ens = conditional_ensemble(bipartite(COUNTEREXAMPLE_MATRIX, 2, 2))
         assert np.allclose(ens.probs, [0.5, 0.5], atol=1e-12)
         expected = np.array([[0.5, 0.28], [0.28, 0.5]])
-        assert np.allclose(ens.states[0].mat, expected, atol=1e-12)
-        assert np.allclose(ens.states[1].mat, expected, atol=1e-12)
+        assert np.allclose(ens.states[0], expected, atol=1e-12)
+        assert np.allclose(ens.states[1], expected, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_probs_match_reduced_diagonal(self, seed):
@@ -134,8 +134,8 @@ class TestConditionalEnsemble:
         sigma = random_density(2, 2, np.random.default_rng(0))
         s = bipartite(kron(np.diag([1.0, 0.0]), sigma), 2, 2)
         ens = conditional_ensemble(s)
-        assert ens.states[1] is None
-        assert ens.states[0] is not None
+        assert not ens.defined[1]
+        assert ens.defined[0]
 
 
 class TestRandomState:
