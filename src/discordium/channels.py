@@ -30,7 +30,7 @@ from .linalg import (
     require_unitary,
     support_cutoff,
 )
-from .states import BipartiteState, DensityMatrix, validate_density
+from .states import BipartiteState, DensityMatrix, bipartite, validate_density
 
 COMPLETENESS_TOL = 1e-10
 POVM_TOL = 1e-10
@@ -351,11 +351,5 @@ def isometry_to_povm(iota: np.ndarray, labels=None) -> Povm:
 def embed_state(s: BipartiteState, enlarged_dim: int) -> BipartiteState:
     """Zero-pad the A factor of a bipartite state into a larger space."""
     if enlarged_dim < s.d_a:
-        raise DimensionMismatch(
-            f"enlarged dimension {enlarged_dim} smaller than d_a {s.d_a}"
-        )
-    return BipartiteState(
-        state=validate_density(conjugate_a(s.mat, np.eye(s.d_a, enlarged_dim))),
-        d_a=enlarged_dim,
-        d_b=s.d_b,
-    )
+        raise DimensionMismatch(f"enlarged dimension {enlarged_dim} smaller than d_a {s.d_a}")
+    return bipartite(conjugate_a(s.mat, np.eye(s.d_a, enlarged_dim)), enlarged_dim, s.d_b)

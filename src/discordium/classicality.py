@@ -158,14 +158,18 @@ class _BlockObjective:
     When df = sum_a tr(G_a dB_a), the Euclidean gradient with respect to u_a
     is 2 M_a u_a with M_a = sum_bc (G_a)_cb r[:, b, :, c], so that
     df = Re tr(dU^dag grad). Subclasses give ``batch`` (values) and
-    ``value_grad`` (values and gradients) on a stack of bases (g, d_a, d_a).
+    ``value_grad`` (values and gradients) on a stack of bases (g, d_a, k).
     """
 
     def __init__(self, mat: np.ndarray, d_a: int, d_b: int):
         self.r = mat.reshape(d_a, d_b, d_a, d_b)
+        # r[i, b, j, c] at row (i, j), column (b, c): B_a is conj(u_a) u_a^T times it.
+        self.rr = self.r.transpose(0, 2, 1, 3).reshape(d_a * d_a, d_b * d_b)
 
     def blocks(self, us: np.ndarray) -> np.ndarray:
-        return np.einsum("gia,ibjc,gja->gabc", us.conj(), self.r, us)
+        cols = us.swapaxes(1, 2)
+        outer = (cols.conj()[..., np.newaxis] * cols[..., np.newaxis, :]).reshape(-1, len(self.rr))
+        return (outer @ self.rr).reshape(*cols.shape[:2], *self.r.shape[1::2])
 
     def gradient(self, g: np.ndarray, us: np.ndarray) -> np.ndarray:
         return 2.0 * np.einsum("gacb,ibjc,gja->gia", g, self.r, us)
@@ -225,14 +229,14 @@ class _OffdiagMass(_BlockObjective):
 
     def batch(self, us: np.ndarray) -> np.ndarray:
         rot = np.einsum("gia,ibjc,gjk->gabkc", us.conj(), self.r, us)
-        off = 1.0 - np.eye(us.shape[1])[:, np.newaxis, :, np.newaxis]
+        off = 1.0 - np.eye(us.shape[2])[:, np.newaxis, :, np.newaxis]
         return np.sum(np.abs(rot * off) ** 2, axis=(1, 2, 3, 4))
 
     def value_grad(self, us: np.ndarray):
         return self.batch(us), self.gradient(-2.0 * self.blocks(us), us)
 
 
-def _descend(obj: _BlockObjective, us: np.ndarray, max_iters: int, step_tol: float):
+def _descend(obj: _BlockObjective, us: np.ndarray, max_iters: int, step_tol: float, start=None):
     """Riemannian steepest descent of ``obj`` on U(d) from a stack of starts.
 
     With A = U^dag grad, the step U <- U exp(i eta H), H = i (A - A^dag) / 2,
@@ -244,10 +248,11 @@ def _descend(obj: _BlockObjective, us: np.ndarray, max_iters: int, step_tol: flo
     ladder lowers f; reaching ``max_iters`` steps is not convergence.
     The starts ``us`` (n, d, d) advance in lockstep, the ladders of all running
     starts in one batched evaluation, so each follows the path it would alone.
+    ``start`` is ``obj.value_grad(us)`` where the caller already has it.
     Returns ``(f, U, converged)``, each stacked over the starts.
     """
     us = np.array(us, dtype=complex)
-    f, grad = obj.value_grad(us)
+    f, grad = obj.value_grad(us) if start is None else start
     eta = np.ones(len(us))
     live = np.arange(len(us))
     for _ in range(max_iters):
@@ -260,9 +265,9 @@ def _descend(obj: _BlockObjective, us: np.ndarray, max_iters: int, step_tol: flo
         lam, vecs = np.linalg.eigh(h)
         top = np.max(np.abs(lam), axis=1, keepdims=True)
         etas = np.minimum(eta[live, np.newaxis] * _LADDER, np.pi / top)
-        # exp(i eta H) = V diag(exp(i eta lam)) V^dag for every (start, eta) pair.
+        # U exp(i eta H) = ((U V) diag(exp(i eta lam))) V^dag for every (start, eta) pair.
         phases = np.exp(1j * etas[..., np.newaxis] * lam[:, np.newaxis])[..., np.newaxis, :]
-        cands = us[live, np.newaxis] @ (vecs[:, np.newaxis] * phases) @ _dag(vecs[:, np.newaxis])
+        cands = ((us[live] @ vecs)[:, np.newaxis] * phases) @ _dag(vecs)[:, np.newaxis]
         vals = obj.batch(cands.reshape(-1, *us.shape[1:])).reshape(etas.shape)
         k = np.argmin(vals, axis=1)
         down = np.min(vals, axis=1) < f[live]
@@ -295,12 +300,12 @@ def _commuting_start(gap: _DephasingGap, seed: int) -> np.ndarray:
 
 
 def _check_config(cfg: DiscordConfig) -> None:
-    if cfg.seed < 0:
-        raise BadConfig(f"seed must be >= 0, got {cfg.seed}")
-    if cfg.restarts < 1:
-        raise BadConfig(f"restarts must be >= 1, got {cfg.restarts}")
-    if not cfg.step_tol > 0:
-        raise BadConfig(f"step_tol must be positive, got {cfg.step_tol}")
+    for name, low in (("seed", 0), ("restarts", 1)):
+        value = getattr(cfg, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+            raise BadConfig(f"{name} must be an integer >= {low}, got {value!r}")
+    if not 0.0 < cfg.step_tol < np.inf:
+        raise BadConfig(f"step_tol must be positive and finite, got {cfg.step_tol}")
 
 
 def discord(s: BipartiteState, cfg: DiscordConfig | None = None) -> DiscordResult:
@@ -311,11 +316,11 @@ def discord(s: BipartiteState, cfg: DiscordConfig | None = None) -> DiscordResul
     the gap's analytic gradient. The first start is the eigenbasis of a
     random member tr_B[(I (x) c) rho] of the commuting family, exact for every
     classical-quantum state (rho_A's eigenbasis is the c = I member, which is
-    arbitrary when rho_A is degenerate); the remaining starts are Haar random
-    from the seed. Restarts stop early once a basis with numerically zero gap
-    is found. With ``enlarge`` the A factor is first zero-padded into
-    dimension d_A^2 so the scan ranges over rank-one POVMs rather than
-    projective measurements only.
+    arbitrary when rho_A is degenerate). If its gap is numerically zero it
+    descends alone; else the Haar-random starts from the seed join it in one
+    lockstep batch, and the result is that of the restarts run in order up to
+    the first that reaches a numerically zero gap. With ``enlarge`` A is first
+    zero-padded to dimension d_A^2, so the scan covers rank-one POVMs.
 
     The returned value is recomputed as I(rho) - I(D(rho)) at the best
     basis through the validated entropy path, so it satisfies the
@@ -326,25 +331,22 @@ def discord(s: BipartiteState, cfg: DiscordConfig | None = None) -> DiscordResul
     _check_config(cfg)
     work = embed_state(s, s.d_a * s.d_a) if cfg.enlarge else s
     gap = _DephasingGap(work.mat, work.d_a, work.d_b)
-    # Restart 0 alone: on cq states no Haar start is drawn.
-    vals, us, oks = _descend(gap, _commuting_start(gap, cfg.seed)[np.newaxis],
-                             _MAX_ITERS, cfg.step_tol)
-    if not vals[0] < _EARLY_STOP and cfg.restarts > 1:
+    # Below the early stop restart 0 descends alone (every cq state), else with the Haar starts.
+    us = _commuting_start(gap, cfg.seed)[np.newaxis]
+    start = gap.value_grad(us)
+    if not start[0][0] < _EARLY_STOP and cfg.restarts > 1:
         haar = haar_unitary(work.d_a, np.random.default_rng(cfg.seed), cfg.restarts - 1)
-        f, u, ok = _descend(gap, haar, _MAX_ITERS, cfg.step_tol)
-        vals, us, oks = np.append(vals, f), np.concatenate([us, u]), np.append(oks, ok)
+        us = np.concatenate([us, haar])
+        start = [np.concatenate(x) for x in zip(start, gap.value_grad(haar))]
+    vals, us, oks = _descend(gap, us, _MAX_ITERS, cfg.step_tol, start)
     # As one restart after another: stop at the first running minimum below the early stop.
     hits = np.nonzero(np.minimum.accumulate(vals) < _EARLY_STOP)[0]
     used = int(hits[0]) + 1 if hits.size else cfg.restarts
     best = int(np.argmin(vals[:used]))
 
-    return DiscordResult(
-        value=_exact_gap(work, us[best]),
-        best_basis=us[best],
-        enlarged=cfg.enlarge,
-        restarts_used=used,
-        converged=bool(oks[best] or vals[best] < _EARLY_STOP),
-    )
+    return DiscordResult(value=_exact_gap(work, us[best]), best_basis=us[best],
+                         enlarged=cfg.enlarge, restarts_used=used,
+                         converged=bool(oks[best] or vals[best] < _EARLY_STOP))
 
 
 def _exact_gap(s: BipartiteState, basis: np.ndarray) -> float:

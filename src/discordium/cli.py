@@ -53,11 +53,18 @@ _REFERENCE_TOL = 5e-4
 
 
 def _matrix_payload(m: np.ndarray, dims: list[int]) -> dict:
-    flat = []
-    for row in np.asarray(m, dtype=complex):
-        for z in row:
-            flat.append([float(z.real), float(z.imag)])
-    return {"dims": list(dims), "matrix": flat}
+    pairs = np.stack([np.real(m), np.imag(m)], axis=-1).reshape(-1, 2)
+    return {"dims": list(dims), "matrix": pairs.tolist()}
+
+
+def _basis_payload(u: np.ndarray) -> dict:
+    """A basis payload whose columns' first entries of modulus above 1e-6 are real positive."""
+    lead = np.argmax(np.abs(u) > 1e-6, axis=0), np.arange(u.shape[1])
+    p = u[lead].conj() / np.abs(u[lead])
+    # Each real product rounds on its own, so a column times -1 or +-i reports the same bits.
+    out = (u.real * p.real - u.imag * p.imag) + 1j * (u.real * p.imag + u.imag * p.real)
+    out[lead] = np.abs(u[lead])
+    return _matrix_payload(out, [u.shape[0]])
 
 
 def _parse_matrix(payload, path: str) -> tuple[np.ndarray, list[int]]:
@@ -174,19 +181,15 @@ def _cmd_entropy(args) -> tuple[dict, dict, int]:
 
 def _cmd_discord(args) -> tuple[dict, dict, int]:
     s = _bipartite_from_file(args.state)
-    cfg = DiscordConfig(
-        restarts=args.restarts,
-        step_tol=args.tol if args.tol is not None else DiscordConfig.step_tol,
-        enlarge=args.enlarge,
-        seed=args.seed,
-    )
+    cfg = DiscordConfig(restarts=args.restarts, step_tol=args.tol, enlarge=args.enlarge,
+                        seed=args.seed)
     result = discord(s, cfg)
     results = {
         "value_bits": result.value,
         "converged": result.converged,
         "restarts_used": result.restarts_used,
         "enlarged": result.enlarged,
-        "best_basis": _matrix_payload(result.best_basis, [result.best_basis.shape[0]]),
+        "best_basis": _basis_payload(result.best_basis),
     }
     return {"step_tol": cfg.step_tol}, results, 0
 
@@ -201,14 +204,14 @@ def _cmd_certify(args) -> tuple[dict, dict, int]:
         results = {
             "classical": False,
             "witness_value_bits": outcome.value,
-            "witness_basis": _matrix_payload(outcome.basis, [outcome.basis.shape[0]]),
+            "witness_basis": _basis_payload(outcome.basis),
         }
         return tolerances, results, 1
     results = {
         "classical": True,
         "partition": [list(part) for part in outcome.partition],
         "residual": outcome.residual,
-        "basis": _matrix_payload(outcome.basis, [outcome.basis.shape[0]]),
+        "basis": _basis_payload(outcome.basis),
     }
     return tolerances, results, 0
 
@@ -302,7 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=16)
     p.add_argument("--enlarge", action="store_true",
                    help="embed A into dimension d_A^2 (rank-one POVM scan)")
-    p.add_argument("--tol", type=float, default=None, help="optimizer step tolerance")
+    p.add_argument("--tol", type=float, default=DiscordConfig.step_tol,
+                   help="optimizer step tolerance")
     add_common(p)
     p.set_defaults(func=_cmd_discord)
 

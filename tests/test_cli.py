@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+import discordium.cli as cli
 from conftest import bell_state
 from discordium.cli import main, read_state_file, write_state_file
 from discordium.states import random_cq_state
@@ -135,6 +137,15 @@ class TestDiscordCommand:
     def test_negative_seed_exits_2(self, cq_file, capsys):
         assert main(["discord", cq_file, "--seed", "-1"]) == 2
         assert "BadConfig" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["inf", "0", "nan"])
+    def test_bad_step_tol_exits_2(self, bell_file, capsys, tol):
+        # Accepted, tol inf stopped every start at once and reported the
+        # start's gap as a converged discord.
+        assert main(["discord", bell_file, "--json", "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert "error: BadConfig: step_tol must be positive and finite" in captured.err
+        assert captured.out == ""
 
     def test_single_system_file_rejected(self, tmp_path, capsys):
         path = tmp_path / "single.json"
@@ -300,3 +311,33 @@ def test_json_reports_round_trip(cq_file, capsys):
     code, report = run_json(capsys, ["discord", cq_file, "--json", "--seed", "1"])
     text = json.dumps(report, sort_keys=True)
     assert json.loads(text) == report
+
+
+@pytest.mark.parametrize("command, name, fixture, key", [
+    ("discord", "discord", "bell_file", "best_basis"),
+    ("certify", "certify_classical", "bell_file", "witness_basis"),
+    ("certify", "certify_classical", "cq_file", "basis"),
+])
+def test_basis_column_phases_do_not_change_json(command, name, fixture, key, capsys,
+                                                monkeypatch, request):
+    # Multiplying a column by -1 or +-i is exact, so the reports agree byte for byte.
+    path = request.getfixturevalue(fixture)
+    argv = [command, path, "--json", "--seed", "3"]
+    main(argv)
+    plain = capsys.readouterr().out
+    search = getattr(cli, name)
+
+    def rotated(*args, **kwargs):
+        out = search(*args, **kwargs)
+        field = "best_basis" if command == "discord" else "basis"
+        basis = getattr(out, field)
+        phases = np.resize([-1.0, 1j, -1j], basis.shape[1])
+        return dataclasses.replace(out, **{field: basis * phases})
+
+    monkeypatch.setattr(cli, name, rotated)
+    main(argv)
+    assert capsys.readouterr().out == plain
+    u = np.array(json.loads(plain)["results"][key]["matrix"]).view(complex)[:, 0]
+    u = u.reshape(json.loads(plain)["results"][key]["dims"] * 2)
+    lead = u[np.argmax(np.abs(u) > 1e-6, axis=0), np.arange(u.shape[1])]
+    assert np.all(lead.imag == 0.0) and np.all(lead.real > 0.0)

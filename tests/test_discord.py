@@ -129,13 +129,20 @@ class TestDiscord:
         assert r.converged and r.value <= 1e-9
 
     def test_bad_config(self):
+        # Accepted, an infinite step_tol would stop every start where it begins
+        # and report converged; a float or bool count escaped as TypeError or
+        # came back as restarts_used.
+        s = random_bipartite(2, 2, np.random.default_rng(0))
+        for bad in [{"restarts": 0}, {"restarts": 2.5}, {"restarts": True}, {"restarts": 2.0},
+                    {"seed": -1}, {"seed": 1.5}, {"seed": False},
+                    {"step_tol": 0.0}, {"step_tol": np.nan}, {"step_tol": np.inf}]:
+            with pytest.raises(BadConfig):
+                discord(s, DiscordConfig(**bad))
+
+    def test_numpy_integer_config_accepted(self):
         s = random_cq_state(2, 2, seed=0)
-        with pytest.raises(BadConfig):
-            discord(s, DiscordConfig(restarts=0))
-        with pytest.raises(BadConfig):
-            discord(s, DiscordConfig(step_tol=0.0))
-        with pytest.raises(BadConfig):
-            discord(s, DiscordConfig(seed=-1))
+        r = discord(s, DiscordConfig(restarts=np.int64(3), seed=np.int64(1)))
+        assert r.restarts_used == 1 and r.converged
 
 
 def pure_state(d_a, d_b, seed):
@@ -230,6 +237,38 @@ class TestAnalyticGradient:
         assert abs(f - exact) <= 1e-12
 
 
+class TestBlockKernel:
+    @staticmethod
+    def explicit(mat, x, y, d_b):
+        """(x^dag (x) I) rho (y (x) I) for A vectors x, y."""
+        eye = np.eye(d_b)
+        return np.kron(x.conj()[np.newaxis], eye) @ mat @ np.kron(y[:, np.newaxis], eye)
+
+    @pytest.mark.parametrize("d_a, d_b, cols", [(2, 2, 2), (3, 2, 3), (2, 3, 2), (2, 2, 4)])
+    def test_blocks_mass_and_gradient_match_kron(self, d_a, d_b, cols):
+        # cols > d_a is a rectangular stack: the top d_a rows of unitaries on C^cols.
+        rng = np.random.default_rng(48)
+        mat = random_density(d_a * d_b, d_a * d_b, rng)
+        us = haar_unitary(cols, rng, 5)[:, :d_a, :]
+        g = np.array([[random_hermitian(d_b, rng) for _ in range(cols)] for _ in us])
+        obj = _OffdiagMass(mat, d_a, d_b)
+        blocks, mass, grad = obj.blocks(us), obj.batch(us), obj.gradient(g, us)
+        # The descent evaluates an empty stack when no start found a lower step.
+        assert obj.blocks(us[:0]).shape == (0, cols, d_b, d_b)
+        for n, u in enumerate(us):
+            pairs = [[self.explicit(mat, u[:, a], u[:, k], d_b) for k in range(cols)]
+                     for a in range(cols)]
+            off = sum(np.linalg.norm(pairs[a][k]) ** 2
+                      for a in range(cols) for k in range(cols) if a != k)
+            assert abs(mass[n] - off) <= 1e-13
+            for a in range(cols):
+                assert np.max(np.abs(blocks[n, a] - pairs[a][a])) <= 1e-13
+                # M_a = tr_B[rho (I (x) G_a)].
+                m_a = np.einsum("ibjb->ij", (mat @ np.kron(np.eye(d_a), g[n, a])).reshape(
+                    d_a, d_b, d_a, d_b))
+                assert np.max(np.abs(grad[n, :, a] - 2.0 * m_a @ u[:, a])) <= 1e-13
+
+
 class TestDescentStopping:
     def test_iteration_cap_is_not_convergence(self, monkeypatch):
         s = bipartite(random_state(4, 4, seed=501).mat, 2, 2)
@@ -261,7 +300,7 @@ def serial_discord(s, cfg=DiscordConfig()):
 
 
 def lockstep_cases():
-    """(name, state, config, restarts_used range) for the serial comparison."""
+    """(name, state, config, restarts_used range, restart 0 override or None)."""
     rng = np.random.default_rng(41)
     full = random_bipartite(2, 2, rng)
     rank2 = random_bipartite(3, 3, rng, rank=2)
@@ -271,26 +310,34 @@ def lockstep_cases():
     rng = np.random.default_rng(70)
     u = haar_unitary(4, rng)
     item1 = assemble_cq(u, [0.25] * 4, [random_density(2, 1, rng) for _ in range(4)])
+    # A cq state's exact basis, slightly rotated: the start's gap is above the
+    # early stop, so the Haar starts are drawn, and restart 0 alone goes below it.
+    near, basis, _, _ = random_cq_state_with_parts(3, 2, seed=45)
+    tilted = basis @ expm(1e-4j * random_hermitian(3, np.random.default_rng(46)))
     return [
-        ("full2x2", full, DiscordConfig(), (16, 16)),
-        ("rank2_3x3", rank2, DiscordConfig(), (16, 16)),
-        ("pure3x3", pure, DiscordConfig(), (16, 16)),
+        ("full2x2", full, DiscordConfig(), (16, 16), None),
+        ("rank2_3x3", rank2, DiscordConfig(), (16, 16), None),
+        ("pure3x3", pure, DiscordConfig(), (16, 16), None),
         ("enlarge2x2", random_bipartite(2, 2, np.random.default_rng(8)),
-         DiscordConfig(restarts=4, enlarge=True), (4, 4)),
-        ("item1_4x2", item1, DiscordConfig(), (2, 15)),
+         DiscordConfig(restarts=4, enlarge=True), (4, 4), None),
+        # The exact start stops there after restart 0; restart 0 from the
+        # rho_A eigenbasis keeps a mid-run early stop covered.
+        ("item1_4x2", item1, DiscordConfig(), (2, 15),
+         lambda gap, seed: np.linalg.eigh(gap.rho_a)[1]),
+        ("near_exact3x2", near, DiscordConfig(), (1, 1), lambda gap, seed: tilted),
     ]
 
 
 class TestLockstepSearch:
     @pytest.mark.parametrize("case", lockstep_cases(), ids=lambda c: c[0])
     def test_matches_serial_restarts(self, case, monkeypatch):
-        name, s, cfg, (lo, hi) = case
-        if name == "item1_4x2":
-            # The exact start stops there after restart 0; restart 0 from the
-            # rho_A eigenbasis keeps a mid-run early stop covered.
+        name, s, cfg, (lo, hi), start = case
+        if start is not None:
             assert discord(s, cfg).restarts_used == 1
-            monkeypatch.setattr(classicality, "_commuting_start",
-                                lambda gap, seed: np.linalg.eigh(gap.rho_a)[1])
+            monkeypatch.setattr(classicality, "_commuting_start", start)
+            # Above the early stop, restart 0 descends in one batch with the Haar starts.
+            gap = _DephasingGap(s.mat, s.d_a, s.d_b)
+            assert gap(start(gap, cfg.seed)) > _EARLY_STOP
         r = discord(s, cfg)
         value, basis, used, converged = serial_discord(s, cfg)
         assert lo <= r.restarts_used <= hi
@@ -298,6 +345,23 @@ class TestLockstepSearch:
         assert np.max(np.abs(r.best_basis - basis)) <= 1e-12
         assert r.restarts_used == used
         assert r.converged == converged
+
+    @pytest.mark.parametrize("cq", [True, False])
+    def test_one_descent_per_search(self, cq, monkeypatch):
+        # A cq state's exact start descends alone and draws no Haar start; any
+        # other state descends all its starts in one batch.
+        calls, draws = [], []
+        descend, haar = classicality._descend, classicality.haar_unitary
+        monkeypatch.setattr(classicality, "_descend",
+                            lambda obj, us, *a: calls.append(len(us)) or descend(obj, us, *a))
+        monkeypatch.setattr(classicality, "haar_unitary",
+                            lambda *a: draws.append(a) or haar(*a))
+        rng = np.random.default_rng(47)
+        s = random_cq_state(3, 2, seed=47) if cq else random_bipartite(3, 2, rng)
+        r = discord(s, DiscordConfig(restarts=6))
+        assert calls == ([1] if cq else [6])
+        assert len(draws) == (0 if cq else 1)
+        assert r.restarts_used == (1 if cq else 6)
 
     @pytest.mark.parametrize("max_iters", [20, 200])
     def test_stacked_rows_follow_single_descents(self, max_iters):
