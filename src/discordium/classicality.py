@@ -182,13 +182,30 @@ def _xlog2x(w: np.ndarray) -> np.ndarray:
     return np.where(w > 0.0, w * np.log2(np.where(w > 0.0, w, 1.0)), 0.0)
 
 
+def _block_spectra(x: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of each matrix in a Hermitian stack (..., k, k).
+
+    At k = 2 they are h -+ sqrt(((a - d) / 2)^2 + |b|^2), h = (a + d) / 2, from
+    the entries [[a, b], [b*, d]], with no per-matrix LAPACK call (the main
+    cost of a 2x2 stack). Larger matrices go to ``eigvalsh``.
+    """
+    if x.shape[-1] != 2:
+        return np.linalg.eigvalsh(x)
+    a, d, b = x[..., 0, 0].real, x[..., 1, 1].real, x[..., 0, 1]
+    h = 0.5 * (a + d)
+    r = np.sqrt((0.5 * (a - d)) ** 2 + b.real ** 2 + b.imag ** 2)
+    return np.stack([h - r, h + r], axis=-1)
+
+
 class _DephasingGap(_BlockObjective):
     """f(U) = I(rho) - I(D_U(rho)), evaluated through the block shortcut.
 
     Dephasing leaves rho_B fixed, so the gap reduces to
     S(rho_A) - S(rho_AB) + sum_a p_a S(rho^B_a) with p_a and rho^B_a the
-    diagonal-block data in the measured basis. Only d_a eigenproblems of
-    size d_b are needed per evaluation.
+    diagonal-block data in the measured basis, so an evaluation needs only
+    the spectra of d_a blocks of size d_b. ``batch`` takes them in closed
+    form at d_b = 2 (:func:`_block_spectra`) and from LAPACK for larger d_b;
+    ``value_grad`` needs the eigenvectors too and always uses LAPACK.
     """
 
     def __init__(self, mat: np.ndarray, d_a: int, d_b: int):
@@ -203,7 +220,7 @@ class _DephasingGap(_BlockObjective):
         return self.const - _xlog2x(w).sum(axis=(-2, -1)) + _xlog2x(w.sum(axis=-1)).sum(axis=-1)
 
     def batch(self, us: np.ndarray) -> np.ndarray:
-        return self._value(np.clip(np.linalg.eigvalsh(self.blocks(us)), 0.0, None))
+        return self._value(np.clip(_block_spectra(self.blocks(us)), 0.0, None))
 
     def value_grad(self, us: np.ndarray):
         """f(U) and its gradient, with G_a = lg(p_a) I - lg B_a on the support.
@@ -236,7 +253,8 @@ class _OffdiagMass(_BlockObjective):
         return self.batch(us), self.gradient(-2.0 * self.blocks(us), us)
 
 
-def _descend(obj: _BlockObjective, us: np.ndarray, max_iters: int, step_tol: float, start=None):
+def _descend(obj: _BlockObjective, us: np.ndarray, max_iters: int, step_tol: float, start=None,
+             cut: float = -np.inf):
     """Riemannian steepest descent of ``obj`` on U(d) from a stack of starts.
 
     With A = U^dag grad, the step U <- U exp(i eta H), H = i (A - A^dag) / 2,
@@ -249,6 +267,8 @@ def _descend(obj: _BlockObjective, us: np.ndarray, max_iters: int, step_tol: flo
     The starts ``us`` (n, d, d) advance in lockstep, the ladders of all running
     starts in one batched evaluation, so each follows the path it would alone.
     ``start`` is ``obj.value_grad(us)`` where the caller already has it.
+    Once a start has stopped with f below ``cut``, every start after it in
+    the stack leaves the batch and reads converged.
     Returns ``(f, U, converged)``, each stacked over the starts.
     """
     us = np.array(us, dtype=complex)
@@ -260,6 +280,11 @@ def _descend(obj: _BlockObjective, us: np.ndarray, max_iters: int, step_tol: flo
         h = 0.5j * (a - _dag(a))
         flat = np.linalg.norm(h, axis=(1, 2)) <= step_tol
         live, h = live[~flat], h[~flat]
+        stopped = f < cut
+        stopped[live] = False
+        if stopped.any():
+            keep = live < np.argmax(stopped)
+            live, h = live[keep], h[keep]
         if not live.size:
             break
         lam, vecs = np.linalg.eigh(h)
@@ -319,7 +344,9 @@ def discord(s: BipartiteState, cfg: DiscordConfig | None = None) -> DiscordResul
     arbitrary when rho_A is degenerate). If its gap is numerically zero it
     descends alone; else the Haar-random starts from the seed join it in one
     lockstep batch, and the result is that of the restarts run in order up to
-    the first that reaches a numerically zero gap. With ``enlarge`` A is first
+    the first that reaches a numerically zero gap. Once a start has stopped
+    there, the starts after it leave the batch: a cut start reads converged
+    but is never selected. With ``enlarge`` A is first
     zero-padded to dimension d_A^2, so the scan covers rank-one POVMs.
 
     The returned value is recomputed as I(rho) - I(D(rho)) at the best
@@ -338,7 +365,7 @@ def discord(s: BipartiteState, cfg: DiscordConfig | None = None) -> DiscordResul
         haar = haar_unitary(work.d_a, np.random.default_rng(cfg.seed), cfg.restarts - 1)
         us = np.concatenate([us, haar])
         start = [np.concatenate(x) for x in zip(start, gap.value_grad(haar))]
-    vals, us, oks = _descend(gap, us, _MAX_ITERS, cfg.step_tol, start)
+    vals, us, oks = _descend(gap, us, _MAX_ITERS, cfg.step_tol, start, _EARLY_STOP)
     # As one restart after another: stop at the first running minimum below the early stop.
     hits = np.nonzero(np.minimum.accumulate(vals) < _EARLY_STOP)[0]
     used = int(hits[0]) + 1 if hits.size else cfg.restarts
@@ -363,7 +390,10 @@ def qubit_discord_oracle(s: BipartiteState, grid: int = 400) -> float:
     (Luo, PRA 77, 042303, 2008), and the gap's constant part comes from the
     spectra of rho and rho_A, so no unitary is built. The gap is scanned on a
     grid x grid lattice over (t, p), then on a grid zooming in on the best
-    point. Shares neither objective nor search with :func:`discord`.
+    point. n -> -n swaps B_+ and B_-, and with an even ``grid`` it maps row
+    t_i to row t_(grid-1-i) and p to the grid point p + pi, so the scan covers
+    only the rows t < pi / 2. Shares neither objective, search nor spectral
+    kernel with :func:`discord`: its spectra come from LAPACK ``eigvalsh``.
     """
     if s.d_a != 2:
         raise WrongDimension(f"oracle requires d_a = 2, got {s.d_a}")
@@ -392,7 +422,7 @@ def qubit_discord_oracle(s: BipartiteState, grid: int = 400) -> float:
 
     thetas = np.linspace(0.0, np.pi, grid)
     phis = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
-    best, t, p = scan(thetas, phis)
+    best, t, p = scan(thetas[:grid // 2] if grid % 2 == 0 else thetas, phis)
     ht, hp = thetas[1] - thetas[0], phis[1] - phis[0]
     steps = np.linspace(-2.0, 2.0, _WINDOW)
     for _ in range(_ZOOM_ROUNDS):

@@ -16,6 +16,7 @@ from discordium.classicality import (
     _EARLY_STOP,
     _DephasingGap,
     _OffdiagMass,
+    _block_spectra,
     _descend,
     _exact_gap,
     _offdiag_residual,
@@ -269,6 +270,75 @@ class TestBlockKernel:
                 assert np.max(np.abs(grad[n, :, a] - 2.0 * m_a @ u[:, a])) <= 1e-13
 
 
+def block_stacks():
+    """(name, stack of Hermitian 2x2 blocks): the closed form's edge cases."""
+    rng = np.random.default_rng(49)
+    v = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
+    return [
+        ("random", np.array([random_hermitian(2, rng) for _ in range(6)]).reshape(3, 2, 2, 2)),
+        ("diag_a_below_d", np.array([np.diag([0.1, 0.7]), np.diag([0.0, 0.2])], dtype=complex)),
+        ("diag_a_above_d", np.array([np.diag([0.7, 0.1]), np.diag([0.2, 0.0])], dtype=complex)),
+        ("scalar", np.array([0.3 * np.eye(2), 1e-17 * np.eye(2)], dtype=complex)),
+        ("rank1", v[:, :, np.newaxis] * v.conj()[:, np.newaxis, :]),
+        ("zero", np.zeros((4, 2, 2), dtype=complex)),
+        ("empty", np.zeros((0, 2, 2), dtype=complex)),
+    ]
+
+
+class TestBlockSpectra:
+    """The gap's ladder kernel at d_B = 2 against LAPACK."""
+
+    @staticmethod
+    def check_batch(gap, us):
+        blocks = gap.blocks(us)
+        reference = gap._value(np.clip(np.linalg.eigvalsh(blocks), 0.0, None))
+        got = gap.batch(us)
+        assert got.shape == reference.shape == (len(us),)
+        scale = np.max(np.linalg.norm(blocks, axis=(-2, -1)), initial=0.0)
+        assert np.all(np.abs(got - reference) <= 1e-14 * scale)
+
+    @pytest.mark.parametrize("case", block_stacks(), ids=lambda c: c[0])
+    def test_closed_form_matches_eigvalsh(self, case):
+        _, x = case
+        w, reference = _block_spectra(x), np.linalg.eigvalsh(x)
+        assert w.shape == reference.shape
+        scale = np.linalg.norm(x, axis=(-2, -1))[..., np.newaxis]
+        assert np.all(np.abs(w - reference) <= 1e-14 * scale)
+
+    @pytest.mark.parametrize("case", block_stacks()[:-1], ids=lambda c: c[0])
+    def test_batch_matches_lapack_on_block_stacks(self, case):
+        # A block-diagonal rho has the stack as its blocks in the standard basis.
+        x = case[1].reshape(-1, 2, 2)
+        n = len(x)
+        mat = np.zeros((2 * n, 2 * n), dtype=complex)
+        for a in range(n):
+            mat[2 * a:2 * a + 2, 2 * a:2 * a + 2] = x[a]
+        self.check_batch(_DephasingGap(mat, n, 2), np.eye(n)[np.newaxis])
+
+    @pytest.mark.parametrize("d_a, cols, count", [(2, 2, 16), (3, 3, 16), (2, 2, 0), (2, 4, 5)])
+    def test_batch_matches_lapack_on_bases(self, d_a, cols, count):
+        # count = 0 is an empty stack; cols > d_a a rectangular (count, d_a, cols) one.
+        rng = np.random.default_rng(50)
+        gap = _DephasingGap(random_density(2 * d_a, 2 * d_a, rng), d_a, 2)
+        self.check_batch(gap, haar_unitary(cols, rng, max(count, 1))[:count, :d_a, :])
+
+    def test_batch_skips_lapack_and_the_oracle_keeps_it(self, monkeypatch):
+        s = random_bipartite(2, 2, np.random.default_rng(51))
+        gap = _DephasingGap(s.mat, 2, 2)
+        eigvalsh = np.linalg.eigvalsh
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        assert np.all(np.isfinite(gap.batch(haar_unitary(2, np.random.default_rng(52), 4))))
+        shapes = []
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda x, *a, **k: shapes.append(np.shape(x)) or eigvalsh(x, *a, **k))
+        qubit_discord_oracle(s, grid=20)
+        assert any(len(shape) == 4 and shape[-2:] == (2, 2) for shape in shapes)
+
+
 class TestDescentStopping:
     def test_iteration_cap_is_not_convergence(self, monkeypatch):
         s = bipartite(random_state(4, 4, seed=501).mat, 2, 2)
@@ -384,6 +454,39 @@ class TestLockstepSearch:
         sequential = np.array([haar_unitary(dim, rng) for _ in range(15)])
         stacked = haar_unitary(dim, np.random.default_rng(44), 15)
         assert np.array_equal(stacked, sequential)
+
+
+def near_cq(d_a, d_b, k, eps):
+    """random_cq_state plus eps H / ||H||, with H a seeded traceless Hermitian matrix."""
+    d = d_a * d_b
+    h = random_hermitian(d, np.random.default_rng([d, k]))
+    h -= np.trace(h).real / d * np.eye(d)
+    return bipartite(random_cq_state(d_a, d_b, seed=k).mat + eps * h / np.linalg.norm(h), d_a, d_b)
+
+
+class TestFirstHitCut:
+    # Restart 0's start is above the early stop, so the Haar starts join it,
+    # and restart 0 alone goes below it: the starts after it can be cut.
+    @pytest.mark.parametrize("d_a, d_b, k, eps", [(2, 2, 13, 1e-6), (2, 2, 11, 1e-5),
+                                                  (3, 2, 26, 1e-7), (3, 2, 1, 1e-6)])
+    def test_cut_evaluates_fewer_bases_for_the_same_result(self, d_a, d_b, k, eps, monkeypatch):
+        s = near_cq(d_a, d_b, k, eps)
+        gap = _DephasingGap(s.mat, d_a, d_b)
+        assert gap(classicality._commuting_start(gap, 0)) > _EARLY_STOP
+        counts = []
+        batch, descend = _DephasingGap.batch, classicality._descend
+        monkeypatch.setattr(_DephasingGap, "batch",
+                            lambda self, us: counts.append(len(us)) or batch(self, us))
+        cut = discord(s)
+        cut_bases = sum(counts)
+        counts.clear()
+        monkeypatch.setattr(classicality, "_descend", lambda *args: descend(*args[:5]))
+        uncut = discord(s)
+        assert cut_bases < sum(counts)
+        assert cut.restarts_used == uncut.restarts_used == 1
+        assert cut.converged == uncut.converged
+        assert cut.value == uncut.value
+        assert np.array_equal(cut.best_basis, uncut.best_basis)
 
 
 def test_classicality_module_is_not_shadowed():
