@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -267,8 +268,9 @@ def _descend(obj: _BlockObjective, us: np.ndarray, max_iters: int, step_tol: flo
     The starts ``us`` (n, d, d) advance in lockstep, the ladders of all running
     starts in one batched evaluation, so each follows the path it would alone.
     ``start`` is ``obj.value_grad(us)`` where the caller already has it.
-    Once a start has stopped with f below ``cut``, every start after it in
-    the stack leaves the batch and reads converged.
+    Once a start's f is below ``cut``, every start after it in the stack
+    leaves the batch and reads converged; f only falls, so that start ends
+    below ``cut`` whether or not it is still running.
     Returns ``(f, U, converged)``, each stacked over the starts.
     """
     us = np.array(us, dtype=complex)
@@ -280,10 +282,9 @@ def _descend(obj: _BlockObjective, us: np.ndarray, max_iters: int, step_tol: flo
         h = 0.5j * (a - _dag(a))
         flat = np.linalg.norm(h, axis=(1, 2)) <= step_tol
         live, h = live[~flat], h[~flat]
-        stopped = f < cut
-        stopped[live] = False
-        if stopped.any():
-            keep = live < np.argmax(stopped)
+        hit = np.flatnonzero(f < cut)
+        if hit.size:
+            keep = live <= hit[0]
             live, h = live[keep], h[keep]
         if not live.size:
             break
@@ -344,9 +345,9 @@ def discord(s: BipartiteState, cfg: DiscordConfig | None = None) -> DiscordResul
     arbitrary when rho_A is degenerate). If its gap is numerically zero it
     descends alone; else the Haar-random starts from the seed join it in one
     lockstep batch, and the result is that of the restarts run in order up to
-    the first that reaches a numerically zero gap. Once a start has stopped
-    there, the starts after it leave the batch: a cut start reads converged
-    but is never selected. With ``enlarge`` A is first
+    the first that reaches a numerically zero gap. Once a start's running
+    gap is below it, the starts after it leave the batch: a cut start reads
+    converged but is never selected. With ``enlarge`` A is first
     zero-padded to dimension d_A^2, so the scan covers rank-one POVMs.
 
     The returned value is recomputed as I(rho) - I(D(rho)) at the best
@@ -366,8 +367,8 @@ def discord(s: BipartiteState, cfg: DiscordConfig | None = None) -> DiscordResul
         us = np.concatenate([us, haar])
         start = [np.concatenate(x) for x in zip(start, gap.value_grad(haar))]
     vals, us, oks = _descend(gap, us, _MAX_ITERS, cfg.step_tol, start, _EARLY_STOP)
-    # As one restart after another: stop at the first running minimum below the early stop.
-    hits = np.nonzero(np.minimum.accumulate(vals) < _EARLY_STOP)[0]
+    # As one restart after another: stop at the first value below the early stop.
+    hits = np.flatnonzero(vals < _EARLY_STOP)
     used = int(hits[0]) + 1 if hits.size else cfg.restarts
     best = int(np.argmin(vals[:used]))
 
@@ -541,13 +542,13 @@ def peel_extremal(ensemble: ConditionalEnsemble, weights: np.ndarray,
     each round marks as extremal the groups whose states lie farther than
     ``GROUPING_TOL`` from the convex hull of the other remaining groups'
     states (trace distance to the exact Frobenius projection,
-    :func:`_convex_gap`), records the cross terms that must vanish between
-    them and everything else still present, and removes them. If a round
-    finds no extremal group (a numerically flat hull), all remaining groups
-    are taken in one final layer; downstream orthogonality checks remain in
-    force either way. Both groups of a pair are still present when the first
-    of them is peeled, so the vanishing pairs are all cross-group pairs
-    whatever the hull tests find; those shape only ``rounds``.
+    :func:`_convex_gap`), and removes them. If a round finds no extremal
+    group (a numerically flat hull), all remaining groups are taken in one
+    final layer; downstream orthogonality checks remain in force either way.
+    A peeled group's cross terms with everything still present must vanish,
+    and both groups of a pair are still present when the first of them is
+    peeled, so the vanishing pairs are all cross-group pairs whatever the
+    hull tests find; those shape only ``rounds``.
     """
     residuals = equality_residuals(ensemble, weights, eligible)
     worst = np.nanmax(residuals, initial=0.0)
@@ -562,19 +563,18 @@ def peel_extremal(ensemble: ConditionalEnsemble, weights: np.ndarray,
 
     working = list(range(len(groups)))
     rounds = []
-    pairs = set()
     while working:
         extremal = [g for g in working if _convex_gap(
             reps[g], reps[[h for h in working if h != g]]) > GROUPING_TOL] or working
         rounds.append(tuple(sorted(a for g in extremal for a in groups[g])))
-        pairs.update((min(a, a2), max(a, a2)) for g in extremal for g2 in working
-                     if g2 != g for a in groups[g] for a2 in groups[g2])
         working = [g for g in working if g not in extremal]
 
+    label = {a: g for g, members in enumerate(groups) for a in members}
     return PeelingTrace(
         groups=tuple(groups),
         rounds=tuple(rounds),
-        vanishing_pairs=tuple(sorted(pairs)),
+        vanishing_pairs=tuple((a, b) for a, b in combinations(sorted(label), 2)
+                              if label[a] != label[b]),
         eq_residuals=residuals,
     )
 

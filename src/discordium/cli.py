@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -74,35 +75,21 @@ def _parse_matrix(payload, path: str) -> tuple[np.ndarray, list[int]]:
         if key not in payload:
             raise ParseError(f"{path}: missing key {key!r}")
     dims = payload["dims"]
-    if (
-        not isinstance(dims, list)
-        or not dims
-        or len(dims) > 2
-        or not all(isinstance(d, int) and d >= 1 for d in dims)
-    ):
+    if not (isinstance(dims, list) and 1 <= len(dims) <= 2
+            and all(type(d) is int and d >= 1 for d in dims)):
         raise ParseError(f"{path}: 'dims' must be [d] or [d_a, d_b] of positive ints")
-    dim = int(np.prod(dims))
-    raw = payload["matrix"]
-    if not isinstance(raw, list):
-        raise ParseError(f"{path}: 'matrix' must be an array")
-    if len(raw) == dim and raw and isinstance(raw[0], list) and len(raw[0]) == dim:
-        raw = [pair for row in raw for pair in row]
-    if len(raw) != dim * dim:
-        raise ParseError(
-            f"{path}: 'matrix' has {len(raw)} entries, expected {dim * dim}"
-        )
-    entries = []
-    for k, pair in enumerate(raw):
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise ParseError(f"{path}: matrix entry {k} is not a [re, im] pair")
-        try:
-            z = complex(float(pair[0]), float(pair[1]))
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"{path}: matrix entry {k} is not numeric") from exc
-        if not (np.isfinite(z.real) and np.isfinite(z.imag)):
-            raise ParseError(f"{path}: matrix entry {k} is not finite")
-        entries.append(z)
-    return np.array(entries, dtype=complex).reshape(dim, dim), [int(d) for d in dims]
+    dim = math.prod(dims)
+    try:
+        pairs = np.array(payload["matrix"], dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{path}: 'matrix' is not an array of numeric [re, im] pairs") from exc
+    if pairs.shape not in ((dim * dim, 2), (dim, dim, 2)):
+        raise ParseError(f"{path}: 'matrix' has shape {pairs.shape}, expected "
+                         f"{(dim * dim, 2)} or {(dim, dim, 2)}")
+    finite = np.isfinite(pairs).reshape(-1, 2).all(axis=1)
+    if not finite.all():
+        raise ParseError(f"{path}: matrix entry {np.argmin(finite)} is not finite")
+    return pairs.reshape(-1, 2).view(complex).reshape(dim, dim), dims
 
 
 def read_matrix_file(path: str) -> tuple[np.ndarray, list[int]]:
@@ -112,8 +99,9 @@ def read_matrix_file(path: str) -> tuple[np.ndarray, list[int]]:
             payload = json.load(fh)
     except OSError as exc:
         raise ParseError(f"{path}: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON ({exc.msg} at line {exc.lineno})") from exc
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, UnicodeDecodeError and over-long integers are ValueErrors.
+        raise ParseError(f"{path}: invalid JSON ({exc})") from exc
     return _parse_matrix(payload, path)
 
 

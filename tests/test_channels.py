@@ -287,9 +287,21 @@ class TestIsometry:
         with pytest.raises(NotRankOne):
             povm_to_isometry(povm([np.eye(2) / 2, np.eye(2) / 2]))
 
+    def test_weight_below_the_support_cutoff_is_not_dropped_silently(self):
+        # Each effect is rank one at the 1e-10 cutoff, but the two dropped
+        # eigenvalues leave iota^dag iota a Frobenius distance sqrt(2) eps from I.
+        eps = 0.9e-10
+        p = povm([np.diag([1 - eps, eps]), np.diag([eps, 1 - eps])])
+        with pytest.raises(InvalidPovm, match="iota† iota defect 1.27.e-10 exceeds 1e-10"):
+            povm_to_isometry(p)
+
     def test_not_isometry_rejected(self):
         with pytest.raises(NotIsometry):
             isometry_to_povm(np.ones((3, 2)))
+
+    def test_non_matrix_isometry_rejected(self):
+        with pytest.raises(NotIsometry, match=r"expected a 2d array, got shape \(3,\)"):
+            isometry_to_povm(np.ones(3))
 
     def test_enlargement_pipeline_statistics(self):
         # Rank-one POVM with d^2 outcomes: measuring it equals a projective
@@ -335,6 +347,12 @@ class TestAdjoint:
         assert np.linalg.norm(out - np.eye(4)) <= 1e-10
 
 
+def test_embed_state_into_smaller_dimension_rejected():
+    s = random_bipartite(3, 2, np.random.default_rng(0))
+    with pytest.raises(DimensionMismatch, match="enlarged dimension 2 smaller than d_a 3"):
+        embed_state(s, 2)
+
+
 def test_embed_state_preserves_spectrum():
     rng = np.random.default_rng(12)
     s = random_bipartite(2, 2, rng)
@@ -362,6 +380,22 @@ class TestStackedValidation:
         with pytest.raises(InvalidPovm) as exc:
             povm(effects, labels=tuple(labels))
         assert str(exc.value).startswith(message)
+
+    @pytest.mark.parametrize("coarse_map, message", [
+        ({"a": "u", "b": "v"}, "coarse_map keys must be exactly the fine labels"),
+        ({"a": "u", "b": "v", "c": "w", "d": "u"}, "coarse_map keys must be exactly the fine labels"),
+        ({"a": "u", "b": "v", "c": "z"}, "coarse_map targets unknown coarse labels"),
+    ], ids=["missing-key", "extra-key", "unknown-target"])
+    def test_refinement_rejects_bad_map(self, coarse_map, message):
+        units = [np.diag(np.eye(3)[k]) for k in range(3)]
+        fine = povm(units, labels=("a", "b", "c"))
+        coarse = povm(units, labels=("u", "v", "w"))
+        with pytest.raises(InvalidPovm, match=message):
+            Refinement(fine=fine, coarse=coarse, coarse_map=coarse_map)
+
+    def test_zero_effect_has_no_refinement(self):
+        with pytest.raises(InvalidPovm, match="effect 'y' is numerically zero"):
+            refine_to_rank_one(povm([np.eye(2), np.zeros((2, 2))], labels=("x", "y")))
 
     def test_refinement_names_missed_fiber(self):
         units = [np.diag(np.eye(3)[k]) for k in range(3)]

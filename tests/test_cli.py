@@ -6,7 +6,7 @@ import pytest
 
 import discordium.cli as cli
 from conftest import bell_state
-from discordium.cli import main, read_state_file, write_state_file
+from discordium.cli import main, read_matrix_file, read_state_file, write_state_file
 from discordium.states import random_cq_state
 
 
@@ -65,6 +65,106 @@ class TestStateFiles:
         write_state_file(str(p1), state.mat, [2, 2])
         write_state_file(str(p2), state.mat, [2, 2])
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("nested", [False, True], ids=["flat", "nested"])
+    @pytest.mark.parametrize("dims", [[2, 3], [3], [1]])
+    def test_matrix_read_back_bit_for_bit(self, tmp_path, nested, dims):
+        path = tmp_path / "m.json"
+        dim = int(np.prod(dims))
+        rng = np.random.default_rng(dim)
+        g = rng.standard_normal((2, dim, dim))
+        m = g[0] + 1j * g[1]
+        m[0, 0] = -0.0 - 0.0j
+        write_state_file(str(path), m, dims)
+        if nested:
+            payload = json.loads(path.read_text())
+            payload["matrix"] = [payload["matrix"][i * dim:(i + 1) * dim] for i in range(dim)]
+            path.write_text(json.dumps(payload))
+        back, back_dims = read_matrix_file(str(path))
+        assert back_dims == dims
+        assert back.dtype == complex and back.tobytes() == m.tobytes()
+
+    def test_numeric_strings_and_booleans_are_entries(self, tmp_path, capsys):
+        path = tmp_path / "spelled.json"
+        path.write_text(json.dumps({"dims": [2], "matrix": [
+            ["0.5", False], [0, "-0"], [" 0 ", 0.0], [5e-1, "0"]]}))
+        back, _ = read_matrix_file(str(path))
+        assert back.tobytes() == np.array([[0.5, complex(0, -0.0)], [0, 0.5]]).tobytes()
+        assert main(["entropy", str(path)]) == 0
+
+
+def _pairs(dim):
+    """Flat [re, im] pairs of I / dim."""
+    return [[1.0 / dim if i == j else 0.0, 0.0] for i in range(dim) for j in range(dim)]
+
+
+# name: (file contents, start of the message after the path).
+MALFORMED = {
+    # Each of these ended in a traceback and exit 1, or in exit 0, before.
+    "row-not-a-list": (json.dumps({"dims": [2], "matrix": [[[0.5, 0], [0, 0]], 5]}),
+                       "'matrix' is not an array of numeric [re, im] pairs"),
+    "dims-product-wraps": (json.dumps({"dims": [2**32, 2**32], "matrix": []}),
+                           f"'matrix' has shape (0,), expected ({2**128}, 2) or "
+                           f"({2**64}, {2**64}, 2)"),
+    "boolean-dim": (json.dumps({"dims": [True, 2], "matrix": _pairs(2)}), "'dims' must be"),
+    "entry-beyond-float-range": ('{"dims": [1], "matrix": [[1' + "0" * 400 + ", 0]]}",
+                                 "'matrix' is not an array"),
+    "over-long-integer": ('{"dims": [1], "matrix": [[' + "1" * 5000 + ", 0]]}",
+                          "invalid JSON (Exceeds the limit"),
+    "too-deeply-nested": ('{"dims": [1], "matrix": ' + "[" * 10**5 + "]" * 10**5 + "}",
+                          "invalid JSON (maximum recursion depth exceeded"),
+    "ragged-rows": (json.dumps({"dims": [3], "matrix": [_pairs(3)[:3], _pairs(3)[3:7],
+                                                        _pairs(3)[7:]]}),
+                    "'matrix' is not an array"),
+    "invalid-utf8": (b'{"dims": [1], "matrix": [["\xff", 0]]}',
+                     "invalid JSON ('utf-8' codec can't decode"),
+    # Rejected before as well.
+    "invalid-json": ("{not json", "invalid JSON (Expecting property name"),
+    "top-level-array": (json.dumps([{"dims": [1], "matrix": [[1, 0]]}]),
+                        "top level must be a JSON object"),
+    "missing-matrix": (json.dumps({"dims": [1]}), "missing key 'matrix'"),
+    "dims-empty": (json.dumps({"dims": [], "matrix": [[1, 0]]}), "'dims' must be"),
+    "dims-three-factors": (json.dumps({"dims": [1, 1, 1], "matrix": [[1, 0]]}), "'dims' must be"),
+    "dims-zero": (json.dumps({"dims": [0], "matrix": []}), "'dims' must be"),
+    "dims-float": (json.dumps({"dims": [1.0], "matrix": [[1, 0]]}), "'dims' must be"),
+    "dims-not-a-list": (json.dumps({"dims": 1, "matrix": [[1, 0]]}), "'dims' must be"),
+    "matrix-object": (json.dumps({"dims": [1], "matrix": {"re": 1, "im": 0}}),
+                      "'matrix' is not an array"),
+    "matrix-scalar": (json.dumps({"dims": [1], "matrix": 1}),
+                      "'matrix' has shape (), expected (1, 2) or (1, 1, 2)"),
+    "wrong-count": (json.dumps({"dims": [2], "matrix": _pairs(2)[:3]}),
+                    "'matrix' has shape (3, 2), expected (4, 2) or (2, 2, 2)"),
+    "triple-not-pair": (json.dumps({"dims": [1], "matrix": [[1, 0, 0]]}),
+                        "'matrix' has shape (1, 3)"),
+    "non-numeric": (json.dumps({"dims": [1], "matrix": [["one", 0]]}), "'matrix' is not an array"),
+    "null-entry": (json.dumps({"dims": [1], "matrix": [[None, 0]]}),
+                   "matrix entry 0 is not finite"),
+    "non-finite": (json.dumps({"dims": [2], "matrix": _pairs(2)[:3] + [[float("nan"), 0]]}),
+                   "matrix entry 3 is not finite"),
+    "non-finite-string": (json.dumps({"dims": [1], "matrix": [["inf", 0]]}),
+                          "matrix entry 0 is not finite"),
+}
+
+
+class TestMalformedFiles:
+    """Every malformed state file exits 2 with a one-line ParseError."""
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_exits_2_with_parse_error(self, name, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        data, message = MALFORMED[name]
+        path.write_bytes(data if isinstance(data, bytes) else data.encode())
+        assert main(["entropy", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ParseError: {path}: {message}")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("name, message", [("missing.json", "No such file or directory"),
+                                               (".", "Is a directory")])
+    def test_unreadable_file(self, tmp_path, capsys, name, message):
+        path = tmp_path / name
+        assert main(["entropy", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: ParseError: {path}: {message}\n"
 
 
 class TestEntropyCommand:

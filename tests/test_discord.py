@@ -488,6 +488,34 @@ class TestFirstHitCut:
         assert cut.value == uncut.value
         assert np.array_equal(cut.best_basis, uncut.best_basis)
 
+    @pytest.mark.parametrize("d_a, d_b, k, eps", [(2, 2, 13, 1e-6), (3, 2, 13, 1e-6)])
+    def test_later_starts_leave_when_restart_0_crosses(self, d_a, d_b, k, eps, monkeypatch):
+        # Restart 0 falls below the early stop mid-descent and keeps descending:
+        # from that step on it is the only start left in the batch.
+        s = near_cq(d_a, d_b, k, eps)
+        gap = _DephasingGap(s.mat, d_a, d_b)
+        path, sizes = [], []
+        value_grad, batch = _DephasingGap.value_grad, _DephasingGap.batch
+
+        def record_path(self, us):
+            out = value_grad(self, us)
+            path.extend(out[0])
+            return out
+
+        monkeypatch.setattr(_DephasingGap, "value_grad", record_path)
+        _descend(gap, classicality._commuting_start(gap, 0)[np.newaxis],
+                 classicality._MAX_ITERS, DiscordConfig().step_tol)
+        monkeypatch.setattr(_DephasingGap, "value_grad", value_grad)
+        crossed = int(np.argmax(np.array(path) < _EARLY_STOP))
+        assert path[0] > _EARLY_STOP and 0 < crossed < len(path) - 1
+        monkeypatch.setattr(_DephasingGap, "batch",
+                            lambda self, us: sizes.append(len(us)) or batch(self, us))
+        assert discord(s).restarts_used == 1
+        ladder = len(classicality._LADDER)
+        assert min(sizes[:crossed]) > ladder
+        assert len(sizes) > crossed
+        assert sizes[crossed:] == [ladder] * (len(sizes) - crossed)
+
 
 def test_classicality_module_is_not_shadowed():
     assert isinstance(classicality, types.ModuleType)
@@ -520,6 +548,11 @@ class TestQubitOracle:
     def test_wrong_dimension(self):
         with pytest.raises(WrongDimension):
             qubit_discord_oracle(random_cq_state(3, 2, seed=0))
+
+    @pytest.mark.parametrize("grid", [7, 0, -1])
+    def test_coarse_grid_rejected(self, grid):
+        with pytest.raises(BadConfig, match=f"grid must be >= 8, got {grid}"):
+            qubit_discord_oracle(random_cq_state(2, 2, seed=0), grid=grid)
 
     def test_chunked_scan_matches_single_batch(self, monkeypatch):
         s = bipartite(random_state(4, 4, seed=510).mat, 2, 2)

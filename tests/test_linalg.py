@@ -10,8 +10,10 @@ from discordium.errors import (
     NotHermitian,
     NotPositive,
     NotPovm,
+    ValidationError,
 )
 from discordium.linalg import (
+    as_square_matrix,
     block_diag,
     conjugate_a,
     distance,
@@ -215,6 +217,21 @@ class TestDistance:
         svd = float(np.sum(np.linalg.svd(d, compute_uv=False)))
         assert abs(distance(a, b, norm="trace") - svd) <= 1e-12
         assert abs(trace_distance(a, b) - 0.5 * svd) <= 1e-12
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: as_square_matrix(np.ones((2, 3))), "expected a square matrix, got shape (2, 3)"),
+    (lambda: as_square_matrix(np.ones(4)), "expected a square matrix, got shape (4,)"),
+    (lambda: as_square_matrix(np.diag([1.0, np.nan])), "matrix has non-finite entries"),
+    (lambda: as_square_matrix(np.diag([1.0, -np.inf])), "matrix has non-finite entries"),
+    (lambda: partial_trace(np.eye(4), 2, 2, keep="C"), "keep must be 'A' or 'B', got 'C'"),
+    (lambda: distance(np.eye(2), np.eye(2), norm="max"),
+     "norm must be 'frobenius' or 'trace', got 'max'"),
+], ids=["non-square", "vector", "nan", "inf", "bad-keep", "bad-norm"])
+def test_validation_error_names_the_problem(call, message):
+    with pytest.raises(ValidationError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 def test_support_cutoff_floor():

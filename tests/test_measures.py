@@ -9,6 +9,7 @@ from discordium.linalg import kron
 from discordium.measures import (
     mutual_information,
     relative_entropy,
+    spectrum_entropy,
     von_neumann_entropy,
 )
 from discordium.states import bipartite, haar_unitary, random_state, validate_density
@@ -32,6 +33,12 @@ class TestVonNeumannEntropy:
         u = haar_unitary(4, rng)
         rotated = validate_density(u @ rho.mat @ u.conj().T)
         assert abs(von_neumann_entropy(rotated) - von_neumann_entropy(rho)) <= 1e-9
+
+
+@pytest.mark.parametrize("spectrum", [np.zeros(3), np.array([1e-300, 0.0]), np.array([])],
+                         ids=["zeros", "below-cutoff", "empty"])
+def test_spectrum_entropy_of_no_support_is_zero(spectrum):
+    assert spectrum_entropy(spectrum) == 0.0
 
 
 class TestRelativeEntropy:

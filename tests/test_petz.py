@@ -60,6 +60,13 @@ class TestBuildPetz:
         with pytest.raises(DimensionMismatch):
             build_petz(ch, random_state(3, 3, seed=0))
 
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 3), (4,)])
+    def test_apply_dimension_mismatch(self, shape):
+        ch = KrausChannel(kraus_ops=(np.eye(2),), in_dim=2, out_dim=2)
+        pm = build_petz(ch, random_state(2, 2, seed=0))
+        with pytest.raises(DimensionMismatch, match="vs out_dim 2"):
+            apply_petz(pm, np.ones(shape))
+
     @pytest.mark.parametrize("seed", range(5))
     def test_dephasing_equality_case(self, seed):
         # For a cq state at its generating basis, recovery from the dephased
