@@ -29,7 +29,6 @@ from .linalg import (
     EigenDecomposition,
     distance,
     hermitian_eig,
-    jacobi_eig,
     kron,
     matrix_function_on_support,
     partial_trace,

@@ -26,7 +26,6 @@ from .linalg import (
     _dag,
     block_diag,
     conjugate_a,
-    kron,
     require_unitary,
     support_cutoff,
 )
@@ -101,13 +100,10 @@ def dephasing_channel(basis: np.ndarray, d_a: int, d_b: int) -> KrausChannel:
     Applying it twice equals applying it once.
     """
     u = require_unitary(basis, d_a)
-    eye_b = np.eye(d_b)
-    ops = []
-    for a in range(d_a):
-        col = u[:, a]
-        ops.append(kron(np.outer(col, col.conj()), eye_b))
+    proj = u.T[:, :, np.newaxis] * u.T.conj()[:, np.newaxis, :]
     dim = d_a * d_b
-    return KrausChannel(kraus_ops=tuple(ops), in_dim=dim, out_dim=dim)
+    ops = np.einsum("aij,bc->aibjc", proj, np.eye(d_b)).reshape(d_a, dim, dim)
+    return KrausChannel(kraus_ops=ops, in_dim=dim, out_dim=dim)
 
 
 def dephase(s: BipartiteState, basis: np.ndarray) -> np.ndarray:

@@ -28,7 +28,6 @@ from .linalg import CUTOFF_SCALE, _dag, matrix_function_on_support, partial_trac
 from .measures import mutual_information
 from .petz import recovery_residual
 from .states import (
-    ZERO_PROB_CUTOFF,
     BipartiteState,
     ConditionalEnsemble,
     bipartite,
@@ -443,13 +442,14 @@ def equality_weights(sqrt_a: np.ndarray, probs: np.ndarray):
     With c[a, a'] = |<a| rho_A^{1/2} |a'>|^2 in the measured basis, the
     identity says rho^B_a = sum_{a' != a} w[a, a'] rho^B_{a'} with
     w[a, a'] = c[a, a'] / (p_a - c[a, a]). A row whose denominator is at or
-    below ``_DENOM_CUTOFF`` imposes no constraint and is flagged ineligible.
+    below ``_DENOM_CUTOFF`` imposes no constraint and is flagged ineligible;
+    as the denominator is at most p_a, so is every row of a zero p_a.
     Returns ``(weights, eligible)``.
     """
     c = np.abs(np.asarray(sqrt_a)) ** 2
     probs = np.asarray(probs, dtype=float)
     denom = probs - np.diag(c)
-    eligible = (probs > ZERO_PROB_CUTOFF) & (denom > _DENOM_CUTOFF)
+    eligible = denom > _DENOM_CUTOFF
     w = np.divide(c, denom[:, np.newaxis], out=np.zeros_like(c), where=eligible[:, np.newaxis])
     np.fill_diagonal(w, 0.0)
     return w, eligible

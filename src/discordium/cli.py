@@ -48,6 +48,9 @@ from .states import (
 # Tolerance used when parsing user-supplied state files.
 _STATE_TOL = 1e-8
 
+# Largest state dimension `random` writes.
+_RANDOM_MAX_DIM = 4096
+
 _ENTROPY_REFERENCE = 1.7555
 _ZEROED_REFERENCE = 1.7546
 _REFERENCE_TOL = 5e-4
@@ -245,10 +248,13 @@ def _cmd_random(args) -> tuple[dict, dict, int]:
     dims = [args.da] if args.db is None else [args.da, args.db]
     if min(dims) < 1:
         raise ParseError(f"dimensions must be >= 1, got {dims}")
+    dim = math.prod(dims)
+    if dim > _RANDOM_MAX_DIM:
+        raise ParseError(f"dimensions {dims} give state dimension {dim}, above {_RANDOM_MAX_DIM}")
     if args.kind == "cq":
         mat = random_cq_state(*dims, seed=args.seed).mat
     else:
-        mat = random_state(int(np.prod(dims)), args.rank, seed=args.seed).mat
+        mat = random_state(dim, args.rank, seed=args.seed).mat
     write_state_file(args.output, mat, dims)
     results = {
         "written": args.output,

@@ -56,10 +56,11 @@ def as_square_matrix(m) -> np.ndarray:
 def require_hermitian(m, tol: float = HERMITIAN_TOL) -> np.ndarray:
     """Return the symmetrized matrix, or raise if max |m - m†| exceeds ``tol``."""
     a = as_square_matrix(m)
-    defect = float(np.max(np.abs(a - a.conj().T), initial=0.0))
+    with np.errstate(over="ignore"):  # an overflowing defect is inf, so rejected
+        defect = float(np.max(np.abs(a - a.conj().T), initial=0.0))
     if defect > tol:
         raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds {tol:.1e}")
-    return 0.5 * (a + a.conj().T)
+    return 0.5 * a + 0.5 * a.conj().T  # unlike 0.5 * (a + a†), cannot overflow
 
 
 def require_unitary(u, dim: int | None = None) -> np.ndarray:
@@ -91,52 +92,6 @@ def hermitian_eig(m) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix by LAPACK, eigenvalues ascending."""
     vals, vecs = np.linalg.eigh(require_hermitian(m))
     return EigenDecomposition(vals, vecs)
-
-
-def jacobi_eig(m) -> EigenDecomposition:
-    """Cyclic Jacobi eigensolver for complex Hermitian matrices.
-
-    Slower than :func:`hermitian_eig` but independent of LAPACK: the
-    reference that cross-checks it. Pivots sweep the strict upper triangle
-    in fixed row-major order, so the result is bit-reproducible. Each pivot
-    applies the 2x2 unitary that zeroes the pivot entry: a phase rotation
-    making it real followed by the classical symmetric Jacobi rotation.
-    """
-    a = require_hermitian(m).copy()
-    n = a.shape[0]
-    v = np.eye(n, dtype=complex)
-    scale = max(1.0, float(np.linalg.norm(a)))
-    for _ in range(100):
-        off = float(np.linalg.norm(a - np.diag(np.diag(a))))
-        if off <= 1e-14 * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                b = abs(apq)
-                if b <= 1e-300:
-                    continue
-                phase = apq / b
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * b)
-                if tau >= 0:
-                    t = 1.0 / (tau + np.hypot(1.0, tau))
-                else:
-                    t = -1.0 / (-tau + np.hypot(1.0, tau))
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                j2 = np.array(
-                    [[c, s], [-s * np.conj(phase), c * np.conj(phase)]],
-                    dtype=complex,
-                )
-                a[:, [p, q]] = a[:, [p, q]] @ j2
-                a[[p, q], :] = j2.conj().T @ a[[p, q], :]
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-                v[:, [p, q]] = v[:, [p, q]] @ j2
-    order = np.argsort(np.diag(a).real, kind="stable")
-    return EigenDecomposition(np.diag(a).real[order], v[:, order])
 
 
 def matrix_function_on_support(m, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:

@@ -97,10 +97,11 @@ def validate_density(m, tol: float = VALIDATION_TOL) -> DensityMatrix:
     """
     h = require_hermitian(m, tol)
     vals = np.linalg.eigvalsh(h)
-    if vals[0] < -tol:
+    # Written so that a NaN fails each check.
+    if not vals[0] >= -tol:
         raise NotPositive(f"eigenvalue {vals[0]:.3e} below -{tol:.1e}")
     tr = float(np.sum(vals))
-    if abs(tr - 1.0) > tol:
+    if not abs(tr - 1.0) <= tol:
         raise TraceNotOne(f"trace deviates from 1 by {tr - 1.0:.3e}")
     if vals[0] < 0.0:
         # Only clipping needs the eigenvectors, to rebuild the matrix.

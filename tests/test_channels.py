@@ -36,7 +36,7 @@ from discordium.channels import (
     projective_povm,
     refine_to_rank_one,
 )
-from discordium.linalg import matrix_function_on_support
+from discordium.linalg import kron, matrix_function_on_support
 from discordium.measures import mutual_information
 from discordium.states import (
     bipartite,
@@ -101,6 +101,13 @@ class TestDephasingChannel:
         expected[:2, 2:] = 0.0
         expected[2:, :2] = 0.0
         assert np.allclose(out, expected, atol=1e-14)
+
+    @pytest.mark.parametrize("d_a, d_b", [(2, 2), (3, 2), (2, 3), (4, 3), (5, 1)])
+    def test_kraus_stack_equals_projector_krons(self, d_a, d_b):
+        for seed in range(20):
+            u = haar_unitary(d_a, np.random.default_rng(seed))
+            ops = [kron(np.outer(u[:, a], u[:, a].conj()), np.eye(d_b)) for a in range(d_a)]
+            assert np.array_equal(dephasing_channel(u, d_a, d_b).kraus_ops, np.array(ops))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_idempotent(self, seed):

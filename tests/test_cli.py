@@ -194,6 +194,17 @@ class TestEntropyCommand:
         assert main(["entropy", str(path)]) == 2
         assert "NotPositive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("matrix", [[[1e308, 0]] * 3 + [[-1e308, 0]], [[1.5e308, 0]] * 4],
+                             ids=["indefinite", "trace-overflow"])
+    def test_entries_near_float_limit_exit_2(self, tmp_path, capsys, matrix):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"dims": [2], "matrix": matrix}))
+        assert main(["entropy", str(path), "--json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(("error: NotPositive: ", "error: TraceNotOne: "))
+        assert err.count("\n") == 1
+
     def test_missing_key_exits_2(self, tmp_path, capsys):
         path = tmp_path / "nokey.json"
         path.write_text(json.dumps({"dims": [2]}))
@@ -393,6 +404,16 @@ class TestRandomCommand:
         assert main(["random", "--kind", kind, "--da", da, "--db", db, "-o", str(out)]) == 2
         assert f"error: ParseError: dimensions must be >= 1, got [{da}, {db}]" in \
             capsys.readouterr().err
+        assert not out.exists()
+
+    # Products past int64 and past numpy's array limits; neither may allocate.
+    @pytest.mark.parametrize("da, db", [("4294967296", "4294967296"), ("100000", "100000")])
+    def test_dimension_product_above_cap_exits_2(self, tmp_path, capsys, da, db):
+        out = tmp_path / "x.json"
+        assert main(["random", "--kind", "haar", "--da", da, "--db", db, "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: ParseError: dimensions [{da}, {db}] give state dimension "
+                       f"{int(da) * int(db)}, above 4096\n")
         assert not out.exists()
 
     def test_unwritable_output_exits_2(self, tmp_path, capsys):

@@ -13,12 +13,12 @@ from discordium.errors import (
     ValidationError,
 )
 from discordium.linalg import (
+    EigenDecomposition,
     as_square_matrix,
     block_diag,
     conjugate_a,
     distance,
     hermitian_eig,
-    jacobi_eig,
     kron,
     matrix_function_on_support,
     partial_trace,
@@ -59,6 +59,57 @@ class TestHermitianEig:
         resid = np.linalg.norm((vecs * vals) @ vecs.conj().T - m)
         assert resid <= 1e-10 * max(1.0, np.linalg.norm(m))
         assert np.linalg.norm(vecs.conj().T @ vecs - np.eye(dim)) <= 1e-10
+
+
+def jacobi_eig(m) -> EigenDecomposition:
+    """Cyclic Jacobi eigensolver for complex Hermitian matrices.
+
+    Slower than :func:`hermitian_eig` but independent of LAPACK: the
+    reference that cross-checks it. Pivots sweep the strict upper triangle
+    in fixed row-major order, so the result is bit-reproducible. Each pivot
+    applies the 2x2 unitary that zeroes the pivot entry: a phase rotation
+    making it real followed by the classical symmetric Jacobi rotation.
+    """
+    a = require_hermitian(m).copy()
+    n = a.shape[0]
+    v = np.eye(n, dtype=complex)
+    scale = max(1.0, float(np.linalg.norm(a)))
+    for _ in range(100):
+        off = float(np.linalg.norm(a - np.diag(np.diag(a))))
+        if off <= 1e-14 * scale:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                b = abs(apq)
+                if b <= 1e-300:
+                    continue
+                phase = apq / b
+                tau = (a[q, q].real - a[p, p].real) / (2.0 * b)
+                if tau >= 0:
+                    t = 1.0 / (tau + np.hypot(1.0, tau))
+                else:
+                    t = -1.0 / (-tau + np.hypot(1.0, tau))
+                c = 1.0 / np.hypot(1.0, t)
+                s = t * c
+                j2 = np.array(
+                    [[c, s], [-s * np.conj(phase), c * np.conj(phase)]],
+                    dtype=complex,
+                )
+                a[:, [p, q]] = a[:, [p, q]] @ j2
+                a[[p, q], :] = j2.conj().T @ a[[p, q], :]
+                a[p, q] = 0.0
+                a[q, p] = 0.0
+                a[p, p] = a[p, p].real
+                a[q, q] = a[q, q].real
+                v[:, [p, q]] = v[:, [p, q]] @ j2
+    order = np.argsort(np.diag(a).real, kind="stable")
+    return EigenDecomposition(np.diag(a).real[order], v[:, order])
+
+
+def test_require_hermitian_keeps_finite_entries_near_float_limit():
+    m = np.array([[1e308, 1.5e308 + 1e308j], [1.5e308 - 1e308j, -1.7e308]])
+    assert np.array_equal(require_hermitian(m), m)
 
 
 class TestJacobiEig:

@@ -1,7 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
 
 from conftest import bell_state, random_bipartite, random_density
+from discordium.classicality import certify_classical, discord
 from discordium.counterexample import COUNTEREXAMPLE_MATRIX
 from discordium.errors import DimensionMismatch
 from discordium.channels import dephase
@@ -12,7 +15,14 @@ from discordium.measures import (
     spectrum_entropy,
     von_neumann_entropy,
 )
-from discordium.states import bipartite, haar_unitary, random_state, validate_density
+from discordium.states import (
+    assemble_cq,
+    bipartite,
+    haar_unitary,
+    random_cq_state,
+    random_state,
+    validate_density,
+)
 
 
 class TestVonNeumannEntropy:
@@ -109,3 +119,85 @@ class TestMutualInformation:
         basis = haar_unitary(2, rng)
         dephased = bipartite(dephase(s, basis), 2, 3, tol=1e-8)
         assert mutual_information(dephased) <= mutual_information(s) + 1e-9
+
+
+def _mutual_information_oracle(m, d_a, d_b):
+    """I(A:B) by plain numpy: its own partial traces, eigenvalues at or below 1e-10 dropped."""
+    r = m.reshape(d_a, d_b, d_a, d_b)
+
+    def entropy(x):
+        w = np.linalg.eigvalsh(x)
+        w = w[w > 1e-10]
+        return -float(np.sum(w * np.log2(w)))
+
+    return (entropy(np.trace(r, axis1=1, axis2=3)) + entropy(np.trace(r, axis1=0, axis2=2))
+            - entropy(m))
+
+
+def _clipped_state():
+    """A 2x2 state validated at tol 1e-8 after its -5e-9 eigenvalue was clipped."""
+    rng = np.random.default_rng(11)
+    u = haar_unitary(4, rng)
+    spectrum = np.array([-5e-9, 0.2, 0.3, 0.5 + 5e-9])
+    s = bipartite((u * spectrum) @ u.conj().T, 2, 2, tol=1e-8)
+    assert s.state.spectrum[0] == 0.0
+    return s
+
+
+def _tiny_block_cq_state():
+    """A 2x3 cq state one of whose blocks has probability 1e-9."""
+    rng = np.random.default_rng(12)
+    states = [random_density(3, 3, rng) for _ in range(2)]
+    return assemble_cq(haar_unitary(2, rng), [1e-9, 1.0 - 1e-9], states)
+
+
+STATES = {
+    "rank1": lambda: random_bipartite(2, 3, np.random.default_rng(13), rank=1),
+    "rank2": lambda: random_bipartite(3, 2, np.random.default_rng(14), rank=2),
+    "clipped": _clipped_state,
+    "tiny-block": _tiny_block_cq_state,
+}
+
+
+@pytest.mark.parametrize("dephased", [False, True], ids=["state", "dephased"])
+@pytest.mark.parametrize("name", sorted(STATES))
+def test_mutual_information_matches_plain_numpy(name, dephased):
+    s = STATES[name]()
+    if dephased:
+        basis = haar_unitary(s.d_a, np.random.default_rng(15))
+        s = bipartite(dephase(s, basis), s.d_a, s.d_b, tol=1e-8)
+    oracle = _mutual_information_oracle(s.mat, s.d_a, s.d_b)
+    assert abs(mutual_information(s) - oracle) <= 1e-13
+
+
+def _validations(f, *args) -> int:
+    """How many times ``validate_density`` is called while ``f(*args)`` runs."""
+    code, calls = validate_density.__code__, 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call" and frame.f_code is code
+
+    sys.setprofile(profile)
+    try:
+        f(*args)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+class TestValidationAtTheBoundary:
+    """States are validated where they enter; what they imply is not checked again."""
+
+    def test_mutual_information_validates_nothing(self):
+        s = random_bipartite(2, 3, np.random.default_rng(16))
+        assert _validations(mutual_information, s) == 0
+
+    def test_discord_validates_only_the_dephased_state(self):
+        assert _validations(discord, random_bipartite(2, 2, np.random.default_rng(17))) == 1
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_certify_validates_dephased_state_and_part_representatives(self, seed):
+        s = random_cq_state(2, 2, seed)
+        assert len(certify_classical(s).partition) == 2
+        assert _validations(certify_classical, s) == 3

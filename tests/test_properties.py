@@ -1,14 +1,16 @@
 """Property tests of discord()'s first start and of the state-file boundary."""
 
+import io
 import json
 import os
 import tempfile
+from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from conftest import random_density  # noqa: E402
 from discordium.classicality import (  # noqa: E402
@@ -46,9 +48,14 @@ def test_commuting_start_block_diagonalizes_cq_states(s, seed):
     assert _offdiag_residual(s, basis) <= 1e-10 * np.linalg.norm(s.mat)
 
 
+# Floats near the limit of the range, whose sums overflow.
+NEAR_LIMIT = st.sampled_from([1e308, -1e308, 1.5e308, -1.5e308, 1.7976931348623157e308])
+# A Hermitian matrix whose symmetrization 0.5 * (m + m†) overflows off the diagonal.
+OVERFLOWING = [[1e308, 0.0], [1e308, 0.0], [1e308, 0.0], [-1e308, 0.0]]
 # File entries: numbers (ints past the float range too), numeric strings, null and booleans.
 SCALARS = st.one_of(
     st.floats(),
+    NEAR_LIMIT,
     st.integers(-2**1100, 2**1100),
     st.sampled_from(["0.25", "-0", " 1e-1 ", "1_0", "nan", "-inf", "x", ""]),
     st.none(),
@@ -84,7 +91,7 @@ def state_payloads(draw):
     values = [v for i in range(d) for j in range(d) for v in (1.0 / d if i == j else 0.0, 0.0)]
     entries = [draw(spellings(v)) for v in values]
     for k in draw(st.sets(st.integers(0, len(entries) - 1), max_size=2)):
-        entries[k] = draw(SCALARS)
+        entries[k] = draw(st.one_of(NEAR_LIMIT, SCALARS))
     pairs = [entries[k:k + 2] for k in range(0, len(entries), 2)]
     matrix = pairs if layout == "flat" else [pairs[i * d:(i + 1) * d] for i in range(d)]
     well_formed = dims == [d] and type(dims[0]) is int
@@ -102,16 +109,22 @@ def entrywise(pairs):
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
 @given(state_payloads())
+@example(({"dims": [2], "matrix": OVERFLOWING}, OVERFLOWING))
 def test_state_files_exit_0_or_2_and_read_entrywise(case):
-    # Any payload exits 0 or 2; with a well-formed layout the file is read
-    # exactly when every entry is a finite number, into the entrywise values.
+    # Any payload exits 0 or 2, and 0 only with a finite spectrum; with a
+    # well-formed layout the file is read exactly when every entry is a
+    # finite number, into the entrywise values.
     payload, pairs = case
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "state.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh)
-        code = main(["entropy", path])
+        report = io.StringIO()
+        with redirect_stdout(report):
+            code = main(["entropy", path, "--json"])
         assert code in (0, 2)
+        if code == 0:
+            assert np.all(np.isfinite(json.loads(report.getvalue())["results"]["spectrum"]))
         if pairs is None:
             return
         reference = entrywise(pairs)

@@ -44,6 +44,13 @@ class TestValidateDensity:
         with pytest.raises(TraceNotOne):
             validate_density(np.eye(2))
 
+    @pytest.mark.parametrize("m", [[[1e308, 1e308], [1e308, -1e308]], [[1.5e308] * 2] * 2],
+                             ids=["indefinite", "trace-overflow"])
+    def test_entries_near_float_limit_rejected(self, m):
+        # Symmetrizing must not overflow to NaN, which passes every comparison.
+        with pytest.raises((NotPositive, TraceNotOne)):
+            validate_density(np.array(m))
+
     def test_hermiticity_error(self):
         m = np.array([[0.5, 0.1], [0.0, 0.5]])
         with pytest.raises(NotHermitian):
