@@ -19,19 +19,20 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     InvalidPovm,
-    NotIsometry,
     NotRankOne,
+    NotUnitary,
 )
 from .linalg import (
     _dag,
     block_diag,
     conjugate_a,
+    require_finite,
+    require_isometry,
     require_unitary,
     support_cutoff,
 )
 from .states import BipartiteState, DensityMatrix, bipartite, validate_density
 
-COMPLETENESS_TOL = 1e-10
 POVM_TOL = 1e-10
 
 # Relative singular-value cutoff for the extremality rank test.
@@ -54,25 +55,21 @@ class KrausMap:
         shape = (self.out_dim, self.in_dim)
         try:
             ops = np.asarray(self.kraus_ops, dtype=complex)
-        except ValueError:  # ragged or non-numeric
+        except (TypeError, ValueError):  # ragged or non-numeric
             ops = None
         if ops is None or ops.shape[1:] != shape:
             raise DimensionMismatch(f"Kraus operators are not a stack of {shape} matrices")
-        object.__setattr__(self, "kraus_ops", ops)
+        object.__setattr__(self, "kraus_ops", require_finite(ops, "a Kraus operator"))
 
 
 @dataclass(frozen=True)
 class KrausChannel(KrausMap):
-    """Trace-preserving Kraus map: sum_i K_i† K_i = I within tolerance."""
+    """Trace-preserving Kraus map: the stacked operators V have V† V = sum_i K_i† K_i = I."""
 
     def __post_init__(self):
         super().__post_init__()
-        acc = np.einsum("kji,kjl->il", self.kraus_ops.conj(), self.kraus_ops)
-        defect = float(np.linalg.norm(acc - np.eye(self.in_dim)))
-        if defect > COMPLETENESS_TOL:
-            raise InvalidPovm(
-                f"completeness defect {defect:.3e} exceeds {COMPLETENESS_TOL:.1e}"
-            )
+        stacked = self.kraus_ops.reshape(len(self.kraus_ops) * self.out_dim, self.in_dim)
+        require_isometry(stacked, "completeness", InvalidPovm)
 
 
 def apply_matrix(ch: KrausMap, x: np.ndarray) -> np.ndarray:
@@ -139,22 +136,23 @@ class Povm:
             raise InvalidPovm("POVM needs at least one effect")
         if len(self.labels) != n:
             raise InvalidPovm(f"{len(self.labels)} labels for {n} effects")
-        d = np.shape(self.effects[0])[0]
+        d = len(self.effects[0]) if np.ndim(self.effects[0]) else 0
         try:
             effects = np.asarray(self.effects, dtype=complex)
-        except ValueError:  # ragged or non-numeric, told apart below
+        except (TypeError, ValueError):  # ragged or non-numeric, told apart below
             effects = None
         if effects is None or effects.shape != (n, d, d):
             for label, e in zip(self.labels, self.effects):
                 if np.shape(e) != (d, d):
                     raise InvalidPovm(f"effect {label!r} has shape {np.shape(e)}")
             raise InvalidPovm("effects are not numeric matrices")
-        object.__setattr__(self, "effects", effects)
-        bad = np.max(np.abs(effects - _dag(effects)), axis=(1, 2)) > POVM_TOL
+        object.__setattr__(self, "effects", require_finite(effects, "a POVM effect"))
+        half = 0.5 * effects  # unlike e - e† and e + e†, h - h† and h + h† cannot overflow
+        bad = ~(np.max(np.abs(half - _dag(half)), axis=(1, 2)) <= 0.5 * POVM_TOL)
         if bad.any():
             raise InvalidPovm(f"effect {self.labels[np.argmax(bad)]!r} is not Hermitian")
-        vals = np.linalg.eigvalsh(0.5 * (effects + _dag(effects)))
-        bad = (vals[:, 0] < -POVM_TOL) | (vals[:, -1] > 1.0 + POVM_TOL)
+        vals = np.linalg.eigvalsh(half + _dag(half))
+        bad = ~((vals[:, 0] >= -POVM_TOL) & (vals[:, -1] <= 1.0 + POVM_TOL))
         if bad.any():
             m = int(np.argmax(bad))
             raise InvalidPovm(
@@ -162,7 +160,7 @@ class Povm:
                 "outside [0, 1]"
             )
         defect = float(np.linalg.norm(effects.sum(axis=0) - np.eye(d)))
-        if defect > POVM_TOL:
+        if not defect <= POVM_TOL:
             raise InvalidPovm(f"effects sum defect {defect:.3e} exceeds {POVM_TOL:.1e}")
 
     @property
@@ -208,7 +206,7 @@ class Refinement:
         acc = np.zeros_like(self.coarse.effects)
         np.add.at(acc, _parents(self), self.fine.effects)
         defects = np.linalg.norm(acc - self.coarse.effects, axis=(1, 2))
-        bad = defects > POVM_TOL
+        bad = ~(defects <= POVM_TOL)
         if bad.any():
             m = int(np.argmax(bad))
             raise InvalidPovm(
@@ -326,21 +324,15 @@ def povm_to_isometry(p: Povm) -> np.ndarray:
     vecs = rows[:, 0]
     pivot = vecs[np.arange(len(vecs)), np.argmax(np.abs(vecs), axis=1)]
     iota = (vecs * (pivot.conj() / np.abs(pivot))[:, np.newaxis]).conj()
-    defect = float(np.linalg.norm(iota.conj().T @ iota - np.eye(p.dim)))
-    if defect > 1e-10:
-        raise InvalidPovm(f"iota† iota defect {defect:.3e} exceeds 1e-10")
-    return iota
+    return require_isometry(iota, "iota† iota", InvalidPovm)
 
 
 def isometry_to_povm(iota: np.ndarray, labels=None) -> Povm:
     """Recover the rank-one POVM defining an embedding: <e_m| = <m| iota."""
     iota = np.asarray(iota, dtype=complex)
     if iota.ndim != 2:
-        raise NotIsometry(f"expected a 2d array, got shape {iota.shape}")
-    d = iota.shape[1]
-    defect = float(np.linalg.norm(iota.conj().T @ iota - np.eye(d)))
-    if defect > 1e-10:
-        raise NotIsometry(f"iota† iota defect {defect:.3e} exceeds 1e-10")
+        raise NotUnitary(f"expected a 2d array, got shape {iota.shape}")
+    require_isometry(require_finite(iota, "the isometry"), "iota† iota")
     return povm(iota.conj()[:, :, np.newaxis] * iota[:, np.newaxis, :], labels=labels)
 
 

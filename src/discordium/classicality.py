@@ -17,14 +17,10 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import (
-    BadConfig,
-    CertificateInconsistent,
-    NotAtEquality,
-    WrongDimension,
-)
+from .errors import BadConfig, CertificateInconsistent, DimensionMismatch, NotAtEquality
 from .channels import dephase, embed_state
-from .linalg import CUTOFF_SCALE, _dag, matrix_function_on_support, partial_trace, support_cutoff
+from .linalg import (CUTOFF_SCALE, _dag, _require_int, matrix_function_on_support,
+                     partial_trace, support_cutoff)
 from .measures import mutual_information
 from .petz import recovery_residual
 from .states import (
@@ -325,10 +321,8 @@ def _commuting_start(gap: _DephasingGap, seed: int) -> np.ndarray:
 
 
 def _check_config(cfg: DiscordConfig) -> None:
-    for name, low in (("seed", 0), ("restarts", 1)):
-        value = getattr(cfg, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-            raise BadConfig(f"{name} must be an integer >= {low}, got {value!r}")
+    _require_int(cfg.seed, "seed", 0)
+    _require_int(cfg.restarts, "restarts", 1)
     if not 0.0 < cfg.step_tol < np.inf:
         raise BadConfig(f"step_tol must be positive and finite, got {cfg.step_tol}")
 
@@ -396,9 +390,8 @@ def qubit_discord_oracle(s: BipartiteState, grid: int = 400) -> float:
     kernel with :func:`discord`: its spectra come from LAPACK ``eigvalsh``.
     """
     if s.d_a != 2:
-        raise WrongDimension(f"oracle requires d_a = 2, got {s.d_a}")
-    if grid < 8:
-        raise BadConfig(f"grid must be >= 8, got {grid}")
+        raise DimensionMismatch(f"oracle requires d_a = 2, got {s.d_a}")
+    _require_int(grid, "grid", 8)
     r = s.mat.reshape(2, s.d_b, 2, s.d_b)
     t_k = np.einsum("kji,ibjc->kbc", _PAULIS, r)
     rho_b = np.einsum("ibic->bc", r)

@@ -18,31 +18,20 @@ class NotPositive(DiscordiumError):
     eigenvalue below the allowed tolerance."""
 
 
-NegativeEigenvalue = NotPositive
-
-
 class TraceNotOne(DiscordiumError):
     """Candidate state trace deviates from 1 beyond tolerance."""
 
 
 class DimensionMismatch(DiscordiumError):
-    """Operands have incompatible dimensions."""
+    """Operands have incompatible dimensions, or a subsystem has the wrong one."""
 
 
 class IndexOutOfRange(DiscordiumError):
     """Block or entry index outside the valid range."""
 
 
-class BadRank(DiscordiumError):
-    """Requested rank outside 1..dim."""
-
-
 class NotUnitary(DiscordiumError):
-    """Matrix is not unitary within tolerance."""
-
-
-class NotIsometry(DiscordiumError):
-    """Matrix columns are not orthonormal within tolerance."""
+    """Matrix columns are not orthonormal (u† u != I) within tolerance."""
 
 
 class InvalidPovm(DiscordiumError):
@@ -52,19 +41,12 @@ class InvalidPovm(DiscordiumError):
     """
 
 
-NotPovm = InvalidPovm
-
-
 class NotRankOne(DiscordiumError):
     """POVM effect has rank larger than one."""
 
 
 class BadConfig(DiscordiumError):
-    """Optimizer configuration value out of range."""
-
-
-class WrongDimension(DiscordiumError):
-    """Operation requires a specific subsystem dimension."""
+    """A setting or integer argument is of the wrong type or out of range."""
 
 
 class DiagonalForbidden(DiscordiumError):
@@ -83,3 +65,11 @@ class CertificateInconsistent(DiscordiumError):
 
 class ParseError(DiscordiumError):
     """Input file could not be parsed into the expected schema."""
+
+
+# Former names of the classes above, one class per invariant.
+BadRank = BadConfig
+NegativeEigenvalue = NotPositive
+NotIsometry = NotUnitary
+NotPovm = InvalidPovm
+WrongDimension = DimensionMismatch

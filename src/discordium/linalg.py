@@ -13,6 +13,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import (
+    BadConfig,
     DimensionMismatch,
     NotHermitian,
     NotPositive,
@@ -43,14 +44,32 @@ def _dag(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
+def _require_int(value, name: str, low: int, high: int | None = None):
+    """``value`` if an integer in [low, high] (numpy's count, ``bool`` not), else BadConfig."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise BadConfig(f"{name} must be an integer, got {value!r}")
+    if value < low or high is not None and value > high:
+        bound = f">= {low}" if high is None else f"in {low}..{high}"
+        raise BadConfig(f"{name} must be {bound}, got {value}")
+    return value
+
+
+def require_finite(a: np.ndarray, what: str) -> np.ndarray:
+    """Return ``a``, or raise :class:`ValidationError` naming ``what`` on a non-finite entry."""
+    if not np.isfinite(a).all():
+        raise ValidationError(f"{what} has non-finite entries")
+    return a
+
+
 def as_square_matrix(m) -> np.ndarray:
     """Coerce to a square complex matrix with finite entries."""
-    a = np.asarray(m, dtype=complex)
+    try:
+        a = np.asarray(m, dtype=complex)
+    except (TypeError, ValueError) as exc:  # ragged or non-numeric
+        raise ValidationError(f"expected a numeric matrix, got {type(m).__name__}") from exc
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValidationError("matrix has non-finite entries")
-    return a
+    return require_finite(a, "matrix")
 
 
 def require_hermitian(m, tol: float = HERMITIAN_TOL) -> np.ndarray:
@@ -64,19 +83,23 @@ def require_hermitian(m, tol: float = HERMITIAN_TOL) -> np.ndarray:
 
 
 def require_unitary(u, dim: int | None = None) -> np.ndarray:
-    """Return ``u`` as a complex array, or raise if it is not a unitary.
+    """Return ``u`` as a complex array if it is square and passes :func:`require_isometry`.
 
-    With ``dim`` the shape must be (dim, dim) (:class:`DimensionMismatch`);
-    a Frobenius defect ||u† u - I|| above 1e-10 raises :class:`NotUnitary`.
+    With ``dim`` the shape must be (dim, dim) (:class:`DimensionMismatch`).
     """
     a = np.asarray(u, dtype=complex)
     if dim is not None and a.shape != (dim, dim):
         raise DimensionMismatch(f"basis shape {a.shape} != ({dim}, {dim})")
-    a = as_square_matrix(a)
-    defect = float(np.linalg.norm(a.conj().T @ a - np.eye(a.shape[0])))
-    if defect > 1e-10:
-        raise NotUnitary(f"unitarity defect {defect:.3e} exceeds 1e-10")
-    return a
+    return require_isometry(as_square_matrix(a), "unitarity")
+
+
+def require_isometry(u: np.ndarray, what: str, error=NotUnitary) -> np.ndarray:
+    """Return ``u``, or raise ``error`` naming ``what`` if ||u† u - I||_F exceeds 1e-10."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads inf or NaN
+        defect = float(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[1])))
+    if not defect <= 1e-10:  # so that NaN fails
+        raise error(f"{what} defect {defect:.3e} exceeds 1e-10")
+    return u
 
 
 def support_cutoff(eigenvalues: np.ndarray):

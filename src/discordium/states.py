@@ -12,13 +12,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (
-    BadRank,
     DimensionMismatch,
     IndexOutOfRange,
     NotPositive,
     TraceNotOne,
 )
 from .linalg import (
+    _require_int,
     block_diag,
     conjugate_a,
     partial_trace,
@@ -182,14 +182,18 @@ def _random_density(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray
     return m / np.trace(m).real
 
 
+def _rng(seed) -> np.random.Generator:
+    """The generator itself, or a new one from a seed >= 0 (:class:`BadConfig` otherwise)."""
+    if isinstance(seed, np.random.Generator):
+        return seed
+    return np.random.default_rng(_require_int(seed, "seed", 0))
+
+
 def random_state(d: int, rank: int | None = None, seed: int = 0) -> DensityMatrix:
     """Random state G G† / tr(G G†) with G a d x rank complex Gaussian matrix."""
-    if rank is None:
-        rank = d
-    if not 1 <= rank <= d:
-        raise BadRank(f"rank {rank} outside 1..{d}")
-    rng = np.random.default_rng(seed)
-    return validate_density(_random_density(d, rank, rng))
+    _require_int(d, "d", 1)
+    rank = d if rank is None else _require_int(rank, "rank", 1, d)
+    return validate_density(_random_density(d, rank, _rng(seed)))
 
 
 def random_cq_state_with_parts(d_a: int, d_b: int, seed: int = 0):
@@ -199,7 +203,9 @@ def random_cq_state_with_parts(d_a: int, d_b: int, seed: int = 0):
     A factor, Dirichlet-uniform probabilities, and full-rank random
     conditional B states, assembled as sum_i p_i |u_i><u_i| (x) rho_i.
     """
-    rng = np.random.default_rng(seed)
+    _require_int(d_a, "d_a", 1)
+    _require_int(d_b, "d_b", 1)
+    rng = _rng(seed)
     basis = haar_unitary(d_a, rng)
     probs = rng.dirichlet(np.ones(d_a))
     b_states = [_random_density(d_b, d_b, rng) for _ in range(d_a)]

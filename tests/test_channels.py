@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from discordium.errors import (
     NotIsometry,
     NotRankOne,
     NotUnitary,
+    ValidationError,
 )
 from discordium.channels import (
     KrausChannel,
@@ -303,7 +306,7 @@ class TestIsometry:
             povm_to_isometry(p)
 
     def test_not_isometry_rejected(self):
-        with pytest.raises(NotIsometry):
+        with pytest.raises(NotIsometry, match="iota† iota defect 5.099e\\+00 exceeds 1e-10"):
             isometry_to_povm(np.ones((3, 2)))
 
     def test_non_matrix_isometry_rejected(self):
@@ -381,8 +384,13 @@ class TestStackedValidation:
         ([np.eye(2) / 2, np.diag([-0.5, 0.5])], "xy", "effect 'y' eigenvalues [-5.000e-01, 5.000e-01]"),
         ([np.eye(2) / 2, np.eye(2) / 4], "xy", "effects sum defect 3.536e-01"),
         ([[["a", "b"], ["c", "d"]]], "x", "effects are not numeric matrices"),
+        ([1.0], "x", "effect 'x' has shape ()"),
+        ([None], "x", "effect 'x' has shape ()"),
+        ([np.eye(2), [[0.0, 1e308], [-1e308, 0.0]]], "xy", "effect 'y' is not Hermitian"),
+        ([np.diag([1e308, 0.0]), np.eye(2)], "xy", "effect 'x' eigenvalues [0.000e+00, 1.000e+308]"),
     ], ids=["ragged", "non-square", "empty", "label-count", "non-hermitian", "above-one",
-            "negative", "sum-defect", "non-numeric"])
+            "negative", "sum-defect", "non-numeric", "scalar", "none", "overflowing-defect",
+            "overflowing-sum"])
     def test_povm_rejection_names_label(self, effects, labels, message):
         with pytest.raises(InvalidPovm) as exc:
             povm(effects, labels=tuple(labels))
@@ -411,6 +419,32 @@ class TestStackedValidation:
         Refinement(fine=fine, coarse=coarse, coarse_map={"a": "u", "b": "v", "c": "w"})
         with pytest.raises(InvalidPovm, match="over label 'v' miss the coarse effect"):
             Refinement(fine=fine, coarse=coarse, coarse_map={"a": "u", "b": "w", "c": "v"})
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: KrausChannel(kraus_ops=[np.full((2, 2), np.nan)], in_dim=2, out_dim=2),
+         ValidationError, "a Kraus operator has non-finite entries"),
+        (lambda: KrausMap(kraus_ops=[np.full((2, 2), np.nan)], in_dim=2, out_dim=2),
+         ValidationError, "a Kraus operator has non-finite entries"),
+        (lambda: povm([np.full((2, 2), np.nan), np.eye(2)]),
+         ValidationError, "a POVM effect has non-finite entries"),
+        (lambda: isometry_to_povm(np.full((3, 2), np.nan)),
+         ValidationError, "the isometry has non-finite entries"),
+        # Finite entries whose defect overflows to NaN.
+        (lambda: KrausChannel(kraus_ops=[[[1e308, 1e308], [0, 1]], [[-1e308, 1e308], [0, 0]]],
+                              in_dim=2, out_dim=2),
+         InvalidPovm, "completeness defect nan exceeds 1e-10"),
+        (lambda: isometry_to_povm([[1e308, 0], [0, 1], [0, 0]]),
+         NotUnitary, "iota† iota defect nan exceeds 1e-10"),
+        (lambda: projective_povm([[1e308, 0], [0, 1]]),
+         NotUnitary, "unitarity defect nan exceeds 1e-10"),
+    ], ids=["kraus-channel-nan", "kraus-map-nan", "povm-nan", "isometry-nan",
+            "kraus-overflow", "isometry-overflow", "unitary-overflow"])
+    def test_malformed_family_rejected_without_warning(self, call, error, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error) as exc:
+                call()
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("ops", [
         (np.ones((3, 2)), np.ones((3, 3))),

@@ -249,6 +249,21 @@ class TestDiscordCommand:
         assert main(["discord", cq_file, "--seed", "-1"]) == 2
         assert "BadConfig" in capsys.readouterr().err
 
+    # The CLI has no seed check of its own: the search's check names the seed.
+    @pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
+    @pytest.mark.parametrize("command", ["discord", "certify"])
+    def test_negative_seed_reaches_search_check(self, cq_file, capsys, monkeypatch, command,
+                                                via_env):
+        argv = [command, cq_file, "--json"]
+        if via_env:
+            monkeypatch.setenv("DISCORDIUM_SEED", "-1")
+        else:
+            argv += ["--seed", "-1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: BadConfig: seed must be >= 0, got -1\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("tol", ["inf", "0", "nan"])
     def test_bad_step_tol_exits_2(self, bell_file, capsys, tol):
         # Accepted, tol inf stopped every start at once and reported the
@@ -406,14 +421,23 @@ class TestRandomCommand:
             capsys.readouterr().err
         assert not out.exists()
 
-    # Products past int64 and past numpy's array limits; neither may allocate.
-    @pytest.mark.parametrize("da, db", [("4294967296", "4294967296"), ("100000", "100000")])
+    # Products past int64 and past numpy's array limits, neither of which may allocate,
+    # and the first dimension past the cap.
+    @pytest.mark.parametrize("da, db", [("4294967296", "4294967296"), ("100000", "100000"),
+                                        ("1025", "1")])
     def test_dimension_product_above_cap_exits_2(self, tmp_path, capsys, da, db):
         out = tmp_path / "x.json"
         assert main(["random", "--kind", "haar", "--da", da, "--db", db, "-o", str(out)]) == 2
         err = capsys.readouterr().err
         assert err == (f"error: ParseError: dimensions [{da}, {db}] give state dimension "
-                       f"{int(da) * int(db)}, above 4096\n")
+                       f"{int(da) * int(db)}, above 1024\n")
+        assert not out.exists()
+
+    def test_rank_above_dimension_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert main(["random", "--kind", "haar", "--da", "2", "--db", "2", "--rank", "9",
+                     "-o", str(out)]) == 2
+        assert capsys.readouterr().err == "error: BadConfig: rank must be in 1..4, got 9\n"
         assert not out.exists()
 
     def test_unwritable_output_exits_2(self, tmp_path, capsys):

@@ -546,7 +546,7 @@ class TestQubitOracle:
         assert abs(r.value - oracle) <= 1e-3
 
     def test_wrong_dimension(self):
-        with pytest.raises(WrongDimension):
+        with pytest.raises(WrongDimension, match="oracle requires d_a = 2, got 3"):
             qubit_discord_oracle(random_cq_state(3, 2, seed=0))
 
     @pytest.mark.parametrize("grid", [7, 0, -1])

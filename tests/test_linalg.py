@@ -1,15 +1,21 @@
 import numpy as np
 import pytest
 
+import discordium
+import discordium.errors as errors
 from conftest import random_density, random_hermitian
+from discordium.classicality import DiscordConfig, discord, qubit_discord_oracle
 from discordium.counterexample import COUNTEREXAMPLE_MATRIX
 from discordium.errors import (
+    BadConfig,
     DimensionMismatch,
+    DiscordiumError,
     InvalidPovm,
     NegativeEigenvalue,
     NotHermitian,
     NotPositive,
     NotPovm,
+    NotUnitary,
     ValidationError,
 )
 from discordium.linalg import (
@@ -26,6 +32,7 @@ from discordium.linalg import (
     support_cutoff,
     trace_distance,
 )
+from discordium.states import random_cq_state, random_state, validate_density
 
 # The 4x4 counterexample matrix is [[D, O], [O, D]] with 2x2 symmetric
 # blocks, so its spectrum is the union of the spectra of D + O and D - O;
@@ -202,9 +209,59 @@ class TestConjugateA:
         assert np.array_equal(block_diag(blocks), expected)
 
 
+_ALIASES = {"NegativeEigenvalue": NotPositive, "NotPovm": InvalidPovm, "BadRank": BadConfig,
+            "WrongDimension": DimensionMismatch, "NotIsometry": NotUnitary}
+
+
 def test_error_aliases_share_one_class_per_invariant():
     assert NegativeEigenvalue is NotPositive
     assert NotPovm is InvalidPovm
+    for name, cls in _ALIASES.items():
+        assert getattr(errors, name) is cls
+        assert getattr(discordium, name) is cls
+    classes = {v for v in vars(errors).values() if isinstance(v, type)
+               and issubclass(v, DiscordiumError) and v is not DiscordiumError}
+    assert len(classes) == 14
+
+
+# Each integer argument checked by the one rule: (call, name, low, high, a valid value).
+_S22 = random_cq_state(2, 2, seed=0)
+_INTEGER_ARGUMENTS = {
+    "discord-seed": (lambda v: discord(_S22, DiscordConfig(seed=v)), "seed", 0, None, 1),
+    "discord-restarts": (lambda v: discord(_S22, DiscordConfig(restarts=v)), "restarts", 1,
+                         None, 2),
+    "oracle-grid": (lambda v: qubit_discord_oracle(_S22, grid=v), "grid", 8, None, 8),
+    "random_state-d": (lambda v: random_state(v), "d", 1, None, 2),
+    "random_state-rank": (lambda v: random_state(4, rank=v), "rank", 1, 4, 2),
+    "random_state-seed": (lambda v: random_state(4, seed=v), "seed", 0, None, 1),
+    "random_cq_state-d_a": (lambda v: random_cq_state(v, 2), "d_a", 1, None, 2),
+    "random_cq_state-d_b": (lambda v: random_cq_state(2, v), "d_b", 1, None, 2),
+    "random_cq_state-seed": (lambda v: random_cq_state(2, 2, seed=v), "seed", 0, None, 1),
+}
+
+
+def _bad_integers():
+    for caller, (call, name, low, high, valid) in _INTEGER_ARGUMENTS.items():
+        for bad in (valid + 0.5, float(valid), True, str(valid)):
+            yield pytest.param(call, bad, f"{name} must be an integer, got {bad!r}",
+                               id=f"{caller}-{bad!r}")
+        for bad in (low - 1,) if high is None else (low - 1, high + 1):
+            bound = f">= {low}" if high is None else f"in {low}..{high}"
+            yield pytest.param(call, bad, f"{name} must be {bound}, got {bad}",
+                               id=f"{caller}-{bad!r}")
+
+
+@pytest.mark.parametrize("call, bad, message", _bad_integers())
+def test_integer_argument_of_wrong_type_or_range_is_bad_config(call, bad, message):
+    with pytest.raises(BadConfig) as exc:
+        call(bad)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("caller", _INTEGER_ARGUMENTS)
+def test_numpy_integer_argument_accepted(caller):
+    call, _, _, _, valid = _INTEGER_ARGUMENTS[caller]
+    call(np.int64(valid))
 
 
 class TestPartialTrace:
@@ -275,10 +332,12 @@ class TestDistance:
     (lambda: as_square_matrix(np.ones(4)), "expected a square matrix, got shape (4,)"),
     (lambda: as_square_matrix(np.diag([1.0, np.nan])), "matrix has non-finite entries"),
     (lambda: as_square_matrix(np.diag([1.0, -np.inf])), "matrix has non-finite entries"),
+    (lambda: validate_density("ab"), "expected a numeric matrix, got str"),
+    (lambda: as_square_matrix([[1.0, 0.0], [0.0]]), "expected a numeric matrix, got list"),
     (lambda: partial_trace(np.eye(4), 2, 2, keep="C"), "keep must be 'A' or 'B', got 'C'"),
     (lambda: distance(np.eye(2), np.eye(2), norm="max"),
      "norm must be 'frobenius' or 'trace', got 'max'"),
-], ids=["non-square", "vector", "nan", "inf", "bad-keep", "bad-norm"])
+], ids=["non-square", "vector", "nan", "inf", "non-numeric", "ragged", "bad-keep", "bad-norm"])
 def test_validation_error_names_the_problem(call, message):
     with pytest.raises(ValidationError) as exc:
         call()

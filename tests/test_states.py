@@ -160,10 +160,16 @@ class TestRandomState:
         assert rho.support_rank == 4
 
     def test_bad_rank(self):
-        with pytest.raises(BadRank):
+        with pytest.raises(BadRank, match=r"rank must be in 1\.\.3, got 4"):
             random_state(3, rank=4, seed=0)
-        with pytest.raises(BadRank):
+        with pytest.raises(BadRank, match=r"rank must be in 1\.\.3, got 0"):
             random_state(3, rank=0, seed=0)
+
+    def test_generator_seed_accepted(self):
+        rng = np.random.default_rng(1)
+        assert np.array_equal(random_state(4, seed=rng).mat,
+                              random_state(4, seed=np.random.default_rng(1)).mat)
+        assert random_cq_state(2, 2, seed=np.random.default_rng(1)).d_a == 2
 
 
 class TestRandomCqState:
