@@ -24,6 +24,8 @@ from .errors import (
 )
 from .linalg import (
     _dag,
+    _require_int,
+    as_complex_array,
     block_diag,
     conjugate_a,
     require_finite,
@@ -74,7 +76,7 @@ class KrausChannel(KrausMap):
 
 def apply_matrix(ch: KrausMap, x: np.ndarray) -> np.ndarray:
     """Raw channel action on an arbitrary operator."""
-    x = np.asarray(x, dtype=complex)
+    x = as_complex_array(x)
     if x.shape != (ch.in_dim, ch.in_dim):
         raise DimensionMismatch(f"operator shape {x.shape} vs in_dim {ch.in_dim}")
     return np.sum(ch.kraus_ops @ x @ _dag(ch.kraus_ops), axis=0)
@@ -329,7 +331,7 @@ def povm_to_isometry(p: Povm) -> np.ndarray:
 
 def isometry_to_povm(iota: np.ndarray, labels=None) -> Povm:
     """Recover the rank-one POVM defining an embedding: <e_m| = <m| iota."""
-    iota = np.asarray(iota, dtype=complex)
+    iota = as_complex_array(iota)
     if iota.ndim != 2:
         raise NotUnitary(f"expected a 2d array, got shape {iota.shape}")
     require_isometry(require_finite(iota, "the isometry"), "iota† iota")
@@ -338,6 +340,5 @@ def isometry_to_povm(iota: np.ndarray, labels=None) -> Povm:
 
 def embed_state(s: BipartiteState, enlarged_dim: int) -> BipartiteState:
     """Zero-pad the A factor of a bipartite state into a larger space."""
-    if enlarged_dim < s.d_a:
-        raise DimensionMismatch(f"enlarged dimension {enlarged_dim} smaller than d_a {s.d_a}")
+    _require_int(enlarged_dim, "enlarged dimension", s.d_a, error=DimensionMismatch)
     return bipartite(conjugate_a(s.mat, np.eye(s.d_a, enlarged_dim)), enlarged_dim, s.d_b)

@@ -18,15 +18,14 @@ from itertools import combinations
 import numpy as np
 
 from .errors import BadConfig, CertificateInconsistent, DimensionMismatch, NotAtEquality
-from .channels import dephase, embed_state
+from .channels import embed_state
 from .linalg import (CUTOFF_SCALE, _dag, _require_int, matrix_function_on_support,
-                     partial_trace, support_cutoff)
-from .measures import mutual_information
+                     partial_trace, require_unitary, support_cutoff)
+from .measures import spectrum_entropy, von_neumann_entropy
 from .petz import recovery_residual
 from .states import (
     BipartiteState,
     ConditionalEnsemble,
-    bipartite,
     conditional_ensemble,
     haar_unitary,
     in_basis,
@@ -54,6 +53,9 @@ _LADDER = 2.0 ** np.arange(2, -10, -1)
 # Block eigenvalues at or below this are eigensolver noise (blocks of a unit
 # trace state have norm at most 1) and count as kernel in the gradient.
 _BLOCK_SUPPORT = 1e-14
+
+# Seeded search starts kept per (dimension, seed[, count]) key.
+_START_CACHE = 32
 
 # Bases per batched gap evaluation in the qubit oracle's grid scan.
 _ORACLE_CHUNK = 4096
@@ -90,8 +92,9 @@ class DiscordConfig:
 class DiscordResult:
     """Outcome of the discord minimization.
 
-    ``value`` equals I(rho) - I(D_basis(rho)) recomputed at ``best_basis``
-    (on the enlarged state when ``enlarged``). ``converged`` reports whether
+    ``value`` equals I(rho) - I(D_basis(rho)) recomputed exactly at
+    ``best_basis`` (on the enlarged state when ``enlarged``) from LAPACK
+    spectra, not from the search's objective. ``converged`` reports whether
     the best restart terminated by tolerance rather than iteration cap.
     """
 
@@ -175,7 +178,7 @@ class _BlockObjective:
 
 
 def _xlog2x(w: np.ndarray) -> np.ndarray:
-    return np.where(w > 0.0, w * np.log2(np.where(w > 0.0, w, 1.0)), 0.0)
+    return w * np.log2(np.where(w > 0.0, w, 1.0))
 
 
 def _block_spectra(x: np.ndarray) -> np.ndarray:
@@ -288,7 +291,9 @@ def _descend(obj: _BlockObjective, us: np.ndarray, max_iters: int, step_tol: flo
         etas = np.minimum(eta[live, np.newaxis] * _LADDER, np.pi / top)
         # U exp(i eta H) = ((U V) diag(exp(i eta lam))) V^dag for every (start, eta) pair.
         phases = np.exp(1j * etas[..., np.newaxis] * lam[:, np.newaxis])[..., np.newaxis, :]
-        cands = ((us[live] @ vecs)[:, np.newaxis] * phases) @ _dag(vecs)[:, np.newaxis]
+        # One (ladder * d, d) @ (d, d) matmul per start, not one per (start, step).
+        scaled = ((us[live] @ vecs)[:, np.newaxis] * phases).reshape(len(live), -1, us.shape[2])
+        cands = (scaled @ _dag(vecs)).reshape(*etas.shape, *us.shape[1:])
         vals = obj.batch(cands.reshape(-1, *us.shape[1:])).reshape(etas.shape)
         k = np.argmin(vals, axis=1)
         down = np.min(vals, axis=1) < f[live]
@@ -303,6 +308,24 @@ def _descend(obj: _BlockObjective, us: np.ndarray, max_iters: int, step_tol: flo
     return f, us, ~np.isin(np.arange(len(us)), live)
 
 
+@lru_cache(maxsize=_START_CACHE)
+def _haar_starts(d: int, seed: int, count: int) -> np.ndarray:
+    """``haar_unitary(d, default_rng(seed), count)``, drawn once per key; read-only."""
+    us = haar_unitary(d, np.random.default_rng(seed), count)
+    us.flags.writeable = False
+    return us
+
+
+@lru_cache(maxsize=_START_CACHE)
+def _commuting_coefficient(d_b: int, seed: int) -> np.ndarray:
+    """The seeded random Hermitian c of :func:`_commuting_start`; read-only."""
+    g = np.random.default_rng([seed, 1]).standard_normal((2, d_b, d_b))
+    c = g[0] + 1j * g[1]
+    c = c + _dag(c)
+    c.flags.writeable = False
+    return c
+
+
 def _commuting_start(gap: _DephasingGap, seed: int) -> np.ndarray:
     """Eigenbasis of C = tr_B[(I (x) c) rho] for a seeded random Hermitian c.
 
@@ -314,10 +337,8 @@ def _commuting_start(gap: _DephasingGap, seed: int) -> np.ndarray:
     Brukner, PRL 105, 190502, 2010). rho_A's eigenbasis is the c = I member.
     c has its own stream, so the Haar restarts draw what they would without it.
     """
-    d_b = gap.r.shape[1]
-    g = np.random.default_rng([seed, 1]).standard_normal((2, d_b, d_b))
-    c = g[0] + 1j * g[1]
-    return np.linalg.eigh(np.einsum("lk,ikjl->ij", c + _dag(c), gap.r))[1]
+    c = _commuting_coefficient(gap.r.shape[1], seed)
+    return np.linalg.eigh(np.einsum("lk,ikjl->ij", c, gap.r))[1]
 
 
 def _check_config(cfg: DiscordConfig) -> None:
@@ -344,9 +365,9 @@ def discord(s: BipartiteState, cfg: DiscordConfig | None = None) -> DiscordResul
     zero-padded to dimension d_A^2, so the scan covers rank-one POVMs.
 
     The returned value is recomputed as I(rho) - I(D(rho)) at the best
-    basis through the validated entropy path, so it satisfies the
-    :class:`DiscordResult` contract by construction. Local minimization
-    carries no global-optimality guarantee.
+    basis by :func:`_exact_gap`, from LAPACK spectra rather than the search's
+    objective, so it satisfies the :class:`DiscordResult` contract by
+    construction. Local minimization carries no global-optimality guarantee.
     """
     cfg = cfg or DiscordConfig()
     _check_config(cfg)
@@ -356,7 +377,7 @@ def discord(s: BipartiteState, cfg: DiscordConfig | None = None) -> DiscordResul
     us = _commuting_start(gap, cfg.seed)[np.newaxis]
     start = gap.value_grad(us)
     if not start[0][0] < _EARLY_STOP and cfg.restarts > 1:
-        haar = haar_unitary(work.d_a, np.random.default_rng(cfg.seed), cfg.restarts - 1)
+        haar = _haar_starts(work.d_a, cfg.seed, cfg.restarts - 1)
         us = np.concatenate([us, haar])
         start = [np.concatenate(x) for x in zip(start, gap.value_grad(haar))]
     vals, us, oks = _descend(gap, us, _MAX_ITERS, cfg.step_tol, start, _EARLY_STOP)
@@ -371,9 +392,20 @@ def discord(s: BipartiteState, cfg: DiscordConfig | None = None) -> DiscordResul
 
 
 def _exact_gap(s: BipartiteState, basis: np.ndarray) -> float:
-    """I(rho) - I(D_basis(rho)) through the validated entropy path."""
-    dephased = bipartite(dephase(s, basis), s.d_a, s.d_b, tol=1e-8)
-    return mutual_information(s) - mutual_information(dephased)
+    """I(rho) - I(D_basis(rho)) = S(rho_A) - S(rho) - H(p) + S(+)_a B_a), from the blocks.
+
+    D_basis(rho) = sum_a |u_a><u_a| (x) B_a, B_a the diagonal blocks of rho
+    in ``basis``: its spectrum is the union of the block spectra, its A
+    marginal has spectrum p_a = tr B_a and its B marginal is rho_B, so no
+    dephased matrix is built. S(rho) is the validated spectrum's; every
+    term takes :func:`spectrum_entropy`'s support cutoff.
+    """
+    u = require_unitary(basis, s.d_a)
+    blocks = np.einsum("abac->abc", in_basis(s, u).mat.reshape(s.d_a, s.d_b, s.d_a, s.d_b))
+    s_a = spectrum_entropy(np.linalg.eigvalsh(partial_trace(s.mat, s.d_a, s.d_b)))
+    h_p = spectrum_entropy(np.trace(blocks, axis1=1, axis2=2).real)
+    s_blocks = spectrum_entropy(np.linalg.eigvalsh(blocks).ravel())
+    return s_a - von_neumann_entropy(s.state) - h_p + s_blocks
 
 
 def qubit_discord_oracle(s: BipartiteState, grid: int = 400) -> float:

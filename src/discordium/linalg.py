@@ -44,13 +44,16 @@ def _dag(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
-def _require_int(value, name: str, low: int, high: int | None = None):
-    """``value`` if an integer in [low, high] (numpy's count, ``bool`` not), else BadConfig."""
+def _require_int(value, name: str, low: int, high: int | None = None, error=BadConfig):
+    """``value`` if an integer in [low, high] (numpy's count, ``bool`` not).
+
+    A non-integer raises :class:`BadConfig`, an integer out of range ``error``.
+    """
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise BadConfig(f"{name} must be an integer, got {value!r}")
     if value < low or high is not None and value > high:
         bound = f">= {low}" if high is None else f"in {low}..{high}"
-        raise BadConfig(f"{name} must be {bound}, got {value}")
+        raise error(f"{name} must be {bound}, got {value}")
     return value
 
 
@@ -61,12 +64,17 @@ def require_finite(a: np.ndarray, what: str) -> np.ndarray:
     return a
 
 
+def as_complex_array(m) -> np.ndarray:
+    """``m`` as a complex array, or :class:`ValidationError` if it is ragged or non-numeric."""
+    try:
+        return np.asarray(m, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"expected a numeric matrix, got {type(m).__name__}") from exc
+
+
 def as_square_matrix(m) -> np.ndarray:
     """Coerce to a square complex matrix with finite entries."""
-    try:
-        a = np.asarray(m, dtype=complex)
-    except (TypeError, ValueError) as exc:  # ragged or non-numeric
-        raise ValidationError(f"expected a numeric matrix, got {type(m).__name__}") from exc
+    a = as_complex_array(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
     return require_finite(a, "matrix")
@@ -87,7 +95,7 @@ def require_unitary(u, dim: int | None = None) -> np.ndarray:
 
     With ``dim`` the shape must be (dim, dim) (:class:`DimensionMismatch`).
     """
-    a = np.asarray(u, dtype=complex)
+    a = as_complex_array(u)
     if dim is not None and a.shape != (dim, dim):
         raise DimensionMismatch(f"basis shape {a.shape} != ({dim}, {dim})")
     return require_isometry(as_square_matrix(a), "unitarity")

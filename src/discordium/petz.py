@@ -18,6 +18,7 @@ import numpy as np
 from .errors import DimensionMismatch
 from .channels import KrausMap, adjoint, apply_matrix
 from .linalg import (
+    as_complex_array,
     block_diag,
     conjugate_a,
     matrix_function_on_support,
@@ -64,7 +65,7 @@ def apply_petz(p: PetzMap, y: np.ndarray) -> np.ndarray:
     Linear in ``y`` and Hermitian-preserving; no symmetrization is applied
     so linearity holds exactly for non-Hermitian inputs too.
     """
-    y = np.asarray(y, dtype=complex)
+    y = as_complex_array(y)
     out_dim = p.forward.out_dim
     if y.shape != (out_dim, out_dim):
         raise DimensionMismatch(f"operator shape {y.shape} vs out_dim {out_dim}")

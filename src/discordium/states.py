@@ -60,6 +60,8 @@ class BipartiteState:
     d_b: int
 
     def __post_init__(self):
+        _require_int(self.d_a, "d_a", 1)
+        _require_int(self.d_b, "d_b", 1)
         if self.d_a * self.d_b != self.state.dim:
             raise DimensionMismatch(
                 f"d_a*d_b = {self.d_a * self.d_b} != state dimension {self.state.dim}"
@@ -122,8 +124,8 @@ def bipartite(m, d_a: int, d_b: int, tol: float = VALIDATION_TOL) -> BipartiteSt
 
 def block(s: BipartiteState, a: int, a2: int) -> np.ndarray:
     """The d_b x d_b block of ``s`` at block position (a, a2), A-major."""
-    if not (0 <= a < s.d_a and 0 <= a2 < s.d_a):
-        raise IndexOutOfRange(f"block ({a}, {a2}) outside 0..{s.d_a - 1}")
+    for index in (a, a2):
+        _require_int(index, "block index", 0, s.d_a - 1, IndexOutOfRange)
     d_b = s.d_b
     return s.mat[a * d_b:(a + 1) * d_b, a2 * d_b:(a2 + 1) * d_b].copy()
 

@@ -4,9 +4,18 @@ Everything is seeded explicitly; no test touches global PRNG state.
 """
 
 import numpy as np
+import pytest
 
+import discordium.classicality as classicality
 from discordium.channels import KrausChannel, isometry_to_povm, povm
 from discordium.states import bipartite, haar_unitary
+
+
+@pytest.fixture(autouse=True)
+def fresh_search_starts():
+    """Empty discord()'s seeded-start caches, so no test sees draws an earlier test made."""
+    classicality._haar_starts.cache_clear()
+    classicality._commuting_coefficient.cache_clear()
 
 
 def bell_state():

@@ -359,7 +359,7 @@ class TestAdjoint:
 
 def test_embed_state_into_smaller_dimension_rejected():
     s = random_bipartite(3, 2, np.random.default_rng(0))
-    with pytest.raises(DimensionMismatch, match="enlarged dimension 2 smaller than d_a 3"):
+    with pytest.raises(DimensionMismatch, match="enlarged dimension must be >= 3, got 2"):
         embed_state(s, 2)
 
 

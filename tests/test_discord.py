@@ -1,3 +1,4 @@
+import inspect
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from scipy.linalg import expm
 import discordium
 import discordium.classicality as classicality
 from conftest import bell_state, random_bipartite, random_density, random_hermitian
-from discordium.errors import BadConfig, NotAtEquality, WrongDimension
+from discordium.errors import BadConfig, NotAtEquality, NotUnitary, WrongDimension
 from discordium.channels import dephase, embed_state
 from discordium.classicality import (
     _EARLY_STOP,
@@ -515,6 +516,87 @@ class TestFirstHitCut:
         assert min(sizes[:crossed]) > ladder
         assert len(sizes) > crossed
         assert sizes[crossed:] == [ladder] * (len(sizes) - crossed)
+
+
+def materialized_gap(s, basis):
+    """I(rho) - I(D_basis(rho)) from the full dephased matrix, validated: the block gap's oracle."""
+    return mutual_information(s) - mutual_information(
+        bipartite(dephase(s, basis), s.d_a, s.d_b, tol=1e-8))
+
+
+def exact_gap_cases():
+    """(name, state, bases): Haar bases, plus the generating basis of the cq case."""
+    rng = np.random.default_rng(60)
+    states = {
+        "2x2": random_bipartite(2, 2, rng),
+        "3x2": random_bipartite(3, 2, rng),
+        "3x3": random_bipartite(3, 3, rng),
+        "4x4": random_bipartite(4, 4, rng),
+        "rank1": random_bipartite(3, 3, rng, rank=1),
+        "rank2": random_bipartite(3, 2, rng, rank=2),
+        "d_b=1": random_bipartite(3, 1, rng),
+        "embedded": embed_state(random_bipartite(2, 2, rng), 4),
+    }
+    cases = [(name, s, haar_unitary(s.d_a, rng, 4)) for name, s in states.items()]
+    # One block probability of 1e-9, so part of that block's spectrum is under the cutoff.
+    basis = haar_unitary(2, rng)
+    tiny = assemble_cq(basis, [1e-9, 1.0 - 1e-9], [random_density(3, 3, rng) for _ in range(2)])
+    cases.append(("tiny", tiny, np.concatenate([basis[np.newaxis], haar_unitary(2, rng, 3)])))
+    return cases
+
+
+class TestExactGap:
+    @pytest.mark.parametrize("case", exact_gap_cases(), ids=lambda c: c[0])
+    def test_matches_materialized_dephased_state(self, case):
+        _, s, bases = case
+        for u in bases:
+            assert abs(_exact_gap(s, u) - materialized_gap(s, u)) <= 1e-12
+
+    def test_non_unitary_basis_rejected(self):
+        s = random_bipartite(2, 2, np.random.default_rng(61))
+        with pytest.raises(NotUnitary):
+            _exact_gap(s, np.array([[1.0, 0.0], [0.5, 1.0]]))
+
+
+def _eig_calls(f, *args) -> int:
+    """How many ``numpy.linalg.eigh``/``eigvalsh`` calls ``f(*args)`` makes."""
+    solvers = (np.linalg.eigh, np.linalg.eigvalsh)
+    codes, calls = {inspect.unwrap(g).__code__ for g in solvers}, 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call" and frame.f_code in codes
+
+    sys.setprofile(profile)
+    try:
+        f(*args)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+class TestFixedCost:
+    def test_eigensolver_budget_on_a_pure_state(self):
+        # Two spectra for the objective's constant part, the commuting start's
+        # eigh, one value_grad for it and one for the Haar starts (the flat
+        # descent stops before its ladder), and the exact gap's two.
+        s, _ = pure_state(3, 3, seed=62)
+        assert _eig_calls(discord, s) == 7
+
+    def test_repeated_calls_are_bitwise_identical(self):
+        s = random_bipartite(3, 2, np.random.default_rng(63))
+        first, second = discord(s), discord(s)
+        assert first.value == second.value
+        assert np.array_equal(first.best_basis, second.best_basis)
+        assert (first.restarts_used, first.converged) == (second.restarts_used, second.converged)
+
+    @pytest.mark.parametrize("d, seed, count", [(2, 0, 15), (3, 7, 5), (4, 1, 1)])
+    def test_haar_starts_are_the_seeded_draws_and_read_only(self, d, seed, count):
+        starts = classicality._haar_starts(d, seed, count)
+        assert np.array_equal(starts, haar_unitary(d, np.random.default_rng(seed), count))
+        assert classicality._haar_starts(d, seed, count) is starts
+        assert not starts.flags.writeable
+        assert not classicality._commuting_coefficient(d, seed).flags.writeable
 
 
 def test_classicality_module_is_not_shadowed():

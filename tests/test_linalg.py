@@ -4,12 +4,14 @@ import pytest
 import discordium
 import discordium.errors as errors
 from conftest import random_density, random_hermitian
-from discordium.classicality import DiscordConfig, discord, qubit_discord_oracle
+from discordium.channels import KrausChannel, apply_matrix, dephase, embed_state, isometry_to_povm
+from discordium.classicality import DiscordConfig, _exact_gap, discord, qubit_discord_oracle
 from discordium.counterexample import COUNTEREXAMPLE_MATRIX
 from discordium.errors import (
     BadConfig,
     DimensionMismatch,
     DiscordiumError,
+    IndexOutOfRange,
     InvalidPovm,
     NegativeEigenvalue,
     NotHermitian,
@@ -29,10 +31,12 @@ from discordium.linalg import (
     matrix_function_on_support,
     partial_trace,
     require_hermitian,
+    require_unitary,
     support_cutoff,
     trace_distance,
 )
-from discordium.states import random_cq_state, random_state, validate_density
+from discordium.petz import apply_petz, build_petz
+from discordium.states import bipartite, block, random_cq_state, random_state, validate_density
 
 # The 4x4 counterexample matrix is [[D, O], [O, D]] with 2x2 symmetric
 # blocks, so its spectrum is the union of the spectra of D + O and D - O;
@@ -237,6 +241,8 @@ _INTEGER_ARGUMENTS = {
     "random_cq_state-d_a": (lambda v: random_cq_state(v, 2), "d_a", 1, None, 2),
     "random_cq_state-d_b": (lambda v: random_cq_state(2, v), "d_b", 1, None, 2),
     "random_cq_state-seed": (lambda v: random_cq_state(2, 2, seed=v), "seed", 0, None, 1),
+    "bipartite-d_a": (lambda v: bipartite(np.eye(4) / 4, v, 2), "d_a", 1, None, 2),
+    "bipartite-d_b": (lambda v: bipartite(np.eye(4) / 4, 2, v), "d_b", 1, None, 2),
 }
 
 
@@ -262,6 +268,21 @@ def test_integer_argument_of_wrong_type_or_range_is_bad_config(call, bad, messag
 def test_numpy_integer_argument_accepted(caller):
     call, _, _, _, valid = _INTEGER_ARGUMENTS[caller]
     call(np.int64(valid))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: bipartite(np.eye(4) / 4, 2.0, 2.0), BadConfig, "d_a must be an integer, got 2.0"),
+    (lambda: embed_state(_S22, 4.0), BadConfig, "enlarged dimension must be an integer, got 4.0"),
+    (lambda: embed_state(_S22, 1), DimensionMismatch, "enlarged dimension must be >= 2, got 1"),
+    (lambda: block(_S22, 0.5, 0), BadConfig, "block index must be an integer, got 0.5"),
+    (lambda: block(_S22, 0, 2), IndexOutOfRange, "block index must be in 0..1, got 2"),
+    (lambda: block(_S22, -1, 0), IndexOutOfRange, "block index must be in 0..1, got -1"),
+], ids=["bipartite-float-dims", "embed-float", "embed-smaller", "block-float", "block-past-end",
+        "block-negative"])
+def test_dimensions_and_indices_are_checked_integers(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 class TestPartialTrace:
@@ -327,6 +348,10 @@ class TestDistance:
         assert abs(trace_distance(a, b) - 0.5 * svd) <= 1e-12
 
 
+_IDENTITY_CHANNEL = KrausChannel(kraus_ops=[np.eye(2)], in_dim=2, out_dim=2)
+_IDENTITY_PETZ = build_petz(_IDENTITY_CHANNEL, validate_density(np.eye(2) / 2))
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: as_square_matrix(np.ones((2, 3))), "expected a square matrix, got shape (2, 3)"),
     (lambda: as_square_matrix(np.ones(4)), "expected a square matrix, got shape (4,)"),
@@ -337,7 +362,17 @@ class TestDistance:
     (lambda: partial_trace(np.eye(4), 2, 2, keep="C"), "keep must be 'A' or 'B', got 'C'"),
     (lambda: distance(np.eye(2), np.eye(2), norm="max"),
      "norm must be 'frobenius' or 'trace', got 'max'"),
-], ids=["non-square", "vector", "nan", "inf", "non-numeric", "ragged", "bad-keep", "bad-norm"])
+    (lambda: require_unitary("ab"), "expected a numeric matrix, got str"),
+    (lambda: dephase(_S22, "ab"), "expected a numeric matrix, got str"),
+    (lambda: _exact_gap(_S22, "ab"), "expected a numeric matrix, got str"),
+    (lambda: apply_matrix(_IDENTITY_CHANNEL, "ab"), "expected a numeric matrix, got str"),
+    (lambda: isometry_to_povm("ab"), "expected a numeric matrix, got str"),
+    (lambda: apply_petz(_IDENTITY_PETZ, "ab"), "expected a numeric matrix, got str"),
+    (lambda: apply_matrix(_IDENTITY_CHANNEL, [[1.0], [1.0, 0.0]]),
+     "expected a numeric matrix, got list"),
+], ids=["non-square", "vector", "nan", "inf", "non-numeric", "ragged", "bad-keep", "bad-norm",
+        "unitary-non-numeric", "dephase-non-numeric", "exact-gap-non-numeric",
+        "apply-non-numeric", "isometry-non-numeric", "petz-non-numeric", "apply-ragged"])
 def test_validation_error_names_the_problem(call, message):
     with pytest.raises(ValidationError) as exc:
         call()
