@@ -54,7 +54,7 @@ class KrausMap:
     out_dim: int
 
     def __post_init__(self):
-        shape = (self.out_dim, self.in_dim)
+        shape = (_require_int(self.out_dim, "out_dim", 1), _require_int(self.in_dim, "in_dim", 1))
         try:
             ops = np.asarray(self.kraus_ops, dtype=complex)
         except (TypeError, ValueError):  # ragged or non-numeric
@@ -98,7 +98,8 @@ def dephasing_channel(basis: np.ndarray, d_a: int, d_b: int) -> KrausChannel:
     Kraus operators are (|u_a><u_a| (x) I_B) for the basis columns |u_a>.
     Applying it twice equals applying it once.
     """
-    u = require_unitary(basis, d_a)
+    u = require_unitary(basis, _require_int(d_a, "d_a", 1))
+    _require_int(d_b, "d_b", 1)
     proj = u.T[:, :, np.newaxis] * u.T.conj()[:, np.newaxis, :]
     dim = d_a * d_b
     ops = np.einsum("aij,bc->aibjc", proj, np.eye(d_b)).reshape(d_a, dim, dim)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DiagonalForbidden, IndexOutOfRange
-from .linalg import require_hermitian
+from .linalg import _require_int, require_hermitian
 from .measures import von_neumann_entropy
 from .states import validate_density
 
@@ -53,9 +53,8 @@ class ZeroingReport:
 def zero_conjugate_pair(m: np.ndarray, i: int, j: int) -> np.ndarray:
     """Copy of a Hermitian matrix with entries (i, j) and (j, i) set to zero."""
     h = require_hermitian(m)
-    n = h.shape[0]
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexOutOfRange(f"pair ({i}, {j}) outside 0..{n - 1}")
+    for index in (i, j):
+        _require_int(index, "pair index", 0, h.shape[0] - 1, IndexOutOfRange)
     if i == j:
         raise DiagonalForbidden(
             f"({i}, {i}) is a diagonal entry, not a conjugate pair"

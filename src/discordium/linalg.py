@@ -49,7 +49,8 @@ def _require_int(value, name: str, low: int, high: int | None = None, error=BadC
 
     A non-integer raises :class:`BadConfig`, an integer out of range ``error``.
     """
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    # A plain int, the common case, skips the two isinstance tests.
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, np.integer)):
         raise BadConfig(f"{name} must be an integer, got {value!r}")
     if value < low or high is not None and value > high:
         bound = f">= {low}" if high is None else f"in {low}..{high}"
@@ -147,21 +148,23 @@ def matrix_function_on_support(m, f: Callable[[np.ndarray], np.ndarray]) -> np.n
 
 def kron(a, b) -> np.ndarray:
     """Tensor product with A-major composite indexing."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    return np.kron(as_complex_array(a), as_complex_array(b))
 
 
 def conjugate_a(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     """(X† (x) I_B) m (X (x) I_B) for an A-major operator ``m`` and a d_in x d_out ``x``.
 
-    ``m`` has A dimension d_in, the result d_out. Each factor is one matmul
-    on a reshaped view: O(d_A^3 d_B^2) in place of the O(d_A^3 d_B^3) of
-    multiplying by the explicit Kronecker products.
+    ``m`` has A dimension d_in, the result d_out; a stack of ``x`` (..., d_in, d_out),
+    empty too, gives the stack of results. Each factor is one matmul on a reshaped view:
+    O(d_A^3 d_B^2) in place of the O(d_A^3 d_B^3) of the explicit Kronecker products.
     """
-    d_in, d_out = x.shape
-    d_b = m.shape[0] // d_in
-    left = (x.conj().T @ m.reshape(d_in, -1)).reshape(d_out * d_b, d_in * d_b)
+    stack, (d_in, d_out) = x.shape[:-2], x.shape[-2:]
+    n, xt = m.shape[0], x.swapaxes(-1, -2)
+    d_b = n // d_in
+    left = (xt.conj() @ m.reshape(d_in, d_b * n)).reshape(stack + (d_out * d_b, n))
     # (left (X (x) I))^T = (X^T (x) I) left^T: the right factor as a left one.
-    return (x.T @ left.T.reshape(d_in, -1)).reshape(d_out * d_b, d_out * d_b).T
+    right = xt @ left.swapaxes(-1, -2).reshape(stack + (d_in, d_b * d_out * d_b))
+    return right.reshape(stack + (d_out * d_b, d_out * d_b)).swapaxes(-1, -2)
 
 
 def block_diag(blocks: np.ndarray) -> np.ndarray:
@@ -179,6 +182,8 @@ def partial_trace(m, d_a: int, d_b: int, keep: str = "A") -> np.ndarray:
     ``keep="A"`` returns the d_a x d_a reduction, ``keep="B"`` the
     d_b x d_b one. Composite indexing is A-major.
     """
+    _require_int(d_a, "d_a", 1)
+    _require_int(d_b, "d_b", 1)
     a = as_square_matrix(m)
     if a.shape[0] != d_a * d_b:
         raise DimensionMismatch(

@@ -48,9 +48,7 @@ def build_petz(e: KrausMap, sigma: DensityMatrix) -> PetzMap:
     if sigma.dim != e.in_dim:
         raise DimensionMismatch(f"sigma dimension {sigma.dim} vs in_dim {e.in_dim}")
     sigma_sqrt = matrix_function_on_support(sigma.mat, np.sqrt)
-    e_sigma = apply_matrix(e, sigma.mat)
-    e_sigma = 0.5 * (e_sigma + e_sigma.conj().T)
-    e_sigma_inv_sqrt = matrix_function_on_support(e_sigma, lambda x: x ** -0.5)
+    e_sigma_inv_sqrt = matrix_function_on_support(apply_matrix(e, sigma.mat), lambda x: x ** -0.5)
     return PetzMap(
         forward=e,
         reference=sigma,

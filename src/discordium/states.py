@@ -19,6 +19,7 @@ from .errors import (
 )
 from .linalg import (
     _require_int,
+    as_complex_array,
     block_diag,
     conjugate_a,
     partial_trace,
@@ -158,8 +159,8 @@ def assemble_cq(basis: np.ndarray, probs, b_states) -> BipartiteState:
 
     Basis columns past the shorter of ``probs`` and ``b_states`` carry no weight.
     """
-    basis = np.asarray(basis, dtype=complex)
-    blocks = np.array([p * np.asarray(rho, dtype=complex) for p, rho in zip(probs, b_states)])
+    basis = as_complex_array(basis)
+    blocks = as_complex_array([p * as_complex_array(rho) for p, rho in zip(probs, b_states)])
     mat = conjugate_a(block_diag(blocks), basis[:, :len(blocks)].conj().T)
     return bipartite(mat, basis.shape[0], blocks.shape[1])
 
@@ -171,7 +172,8 @@ def haar_unitary(dim: int, rng: np.random.Generator, count: int | None = None) -
     Haar rather than QR-convention dependent. With ``count`` the result is
     a stack of shape (count, dim, dim), equal to ``count`` successive draws.
     """
-    z = rng.standard_normal((1 if count is None else count, 2, dim, dim))
+    _require_int(dim, "dim", 1)
+    z = rng.standard_normal((1 if count is None else _require_int(count, "count", 0), 2, dim, dim))
     q, r = np.linalg.qr(z[:, 0] + 1j * z[:, 1])
     d = np.diagonal(r, axis1=1, axis2=2)
     q = q * (d / np.abs(d))[:, np.newaxis, :]

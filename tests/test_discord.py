@@ -20,7 +20,7 @@ from discordium.classicality import (
     _block_spectra,
     _descend,
     _exact_gap,
-    _offdiag_residual,
+    _offdiag_norms,
     _polish_basis,
     ClassicalityCertificate,
     DiscordConfig,
@@ -255,14 +255,16 @@ class TestBlockKernel:
         g = np.array([[random_hermitian(d_b, rng) for _ in range(cols)] for _ in us])
         obj = _OffdiagMass(mat, d_a, d_b)
         blocks, mass, grad = obj.blocks(us), obj.batch(us), obj.gradient(g, us)
+        norms = _offdiag_norms(mat, us, d_b)
         # The descent evaluates an empty stack when no start found a lower step.
         assert obj.blocks(us[:0]).shape == (0, cols, d_b, d_b)
+        assert obj.batch(us[:0]).shape == (0,)
         for n, u in enumerate(us):
             pairs = [[self.explicit(mat, u[:, a], u[:, k], d_b) for k in range(cols)]
                      for a in range(cols)]
-            off = sum(np.linalg.norm(pairs[a][k]) ** 2
-                      for a in range(cols) for k in range(cols) if a != k)
-            assert abs(mass[n] - off) <= 1e-13
+            off = [np.linalg.norm(pairs[a][k]) for a in range(cols) for k in range(cols) if a != k]
+            assert abs(mass[n] - sum(x ** 2 for x in off)) <= 1e-13
+            assert abs(np.max(norms[n]) - max(off)) <= 1e-13
             for a in range(cols):
                 assert np.max(np.abs(blocks[n, a] - pairs[a][a])) <= 1e-13
                 # M_a = tr_B[rho (I (x) G_a)].
@@ -857,9 +859,9 @@ class TestCertify:
         # so drive the polish directly from a basis rotated off the exact one.
         s, basis, _, _ = random_cq_state_with_parts(*dims, seed=41)
         start = basis @ expm(1e-6j * random_hermitian(dims[0], np.random.default_rng(42)))
-        assert _offdiag_residual(s, start) > 1e-8
+        assert np.max(_offdiag_norms(s.mat, start, s.d_b)) > 1e-8
         polished = _polish_basis(s, start)
-        assert _offdiag_residual(s, polished) <= 1e-10
+        assert np.max(_offdiag_norms(s.mat, polished, s.d_b)) <= 1e-10
         assert np.abs(polished.conj().T @ polished - np.eye(dims[0])).max() <= 1e-12
 
     def test_witness_for_generic_entangled_state(self):

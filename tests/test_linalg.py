@@ -4,9 +4,10 @@ import pytest
 import discordium
 import discordium.errors as errors
 from conftest import random_density, random_hermitian
-from discordium.channels import KrausChannel, apply_matrix, dephase, embed_state, isometry_to_povm
+from discordium.channels import (KrausChannel, KrausMap, apply_matrix, dephase, dephasing_channel,
+                                 embed_state, isometry_to_povm)
 from discordium.classicality import DiscordConfig, _exact_gap, discord, qubit_discord_oracle
-from discordium.counterexample import COUNTEREXAMPLE_MATRIX
+from discordium.counterexample import COUNTEREXAMPLE_MATRIX, zero_conjugate_pair, zeroing_report
 from discordium.errors import (
     BadConfig,
     DimensionMismatch,
@@ -36,7 +37,8 @@ from discordium.linalg import (
     trace_distance,
 )
 from discordium.petz import apply_petz, build_petz
-from discordium.states import bipartite, block, random_cq_state, random_state, validate_density
+from discordium.states import (assemble_cq, bipartite, block, haar_unitary, random_cq_state,
+                               random_state, validate_density)
 
 # The 4x4 counterexample matrix is [[D, O], [O, D]] with 2x2 symmetric
 # blocks, so its spectrum is the union of the spectra of D + O and D - O;
@@ -205,6 +207,15 @@ class TestConjugateA:
         x = rng.standard_normal((d_in, d_out)) + 1j * rng.standard_normal((d_in, d_out))
         big = kron(x, np.eye(d_b))
         assert np.max(np.abs(conjugate_a(m, x) - big.conj().T @ m @ big)) <= 1e-12
+        # A stack of x, empty too: each slice is the 2-D call, bit for bit.
+        shape = (2, 3, d_in, d_out)
+        xs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        stacked = conjugate_a(m, xs)
+        assert stacked.shape == (2, 3, d_out * d_b, d_out * d_b)
+        for i in range(2):
+            for j in range(3):
+                assert np.array_equal(stacked[i, j], conjugate_a(m, xs[i, j]))
+        assert conjugate_a(m, xs[0, :0]).shape == (0, d_out * d_b, d_out * d_b)
 
     def test_block_diag_matches_kron_sum(self):
         rng = np.random.default_rng(3)
@@ -243,6 +254,17 @@ _INTEGER_ARGUMENTS = {
     "random_cq_state-seed": (lambda v: random_cq_state(2, 2, seed=v), "seed", 0, None, 1),
     "bipartite-d_a": (lambda v: bipartite(np.eye(4) / 4, v, 2), "d_a", 1, None, 2),
     "bipartite-d_b": (lambda v: bipartite(np.eye(4) / 4, 2, v), "d_b", 1, None, 2),
+    "partial_trace-d_a": (lambda v: partial_trace(np.eye(4) / 4, v, 2), "d_a", 1, None, 2),
+    "partial_trace-d_b": (lambda v: partial_trace(np.eye(4) / 4, 2, v), "d_b", 1, None, 2),
+    "dephasing_channel-d_a": (lambda v: dephasing_channel(np.eye(2), v, 2), "d_a", 1, None, 2),
+    "dephasing_channel-d_b": (lambda v: dephasing_channel(np.eye(2), 2, v), "d_b", 1, None, 2),
+    "haar_unitary-dim": (lambda v: haar_unitary(v, np.random.default_rng(0)), "dim", 1, None, 2),
+    "haar_unitary-count": (lambda v: haar_unitary(2, np.random.default_rng(0), v), "count", 0,
+                           None, 2),
+    "KrausMap-in_dim": (lambda v: KrausMap(kraus_ops=[np.eye(2)], in_dim=v, out_dim=2), "in_dim",
+                        1, None, 2),
+    "KrausMap-out_dim": (lambda v: KrausMap(kraus_ops=[np.eye(2)], in_dim=2, out_dim=v),
+                         "out_dim", 1, None, 2),
 }
 
 
@@ -277,8 +299,35 @@ def test_numpy_integer_argument_accepted(caller):
     (lambda: block(_S22, 0.5, 0), BadConfig, "block index must be an integer, got 0.5"),
     (lambda: block(_S22, 0, 2), IndexOutOfRange, "block index must be in 0..1, got 2"),
     (lambda: block(_S22, -1, 0), IndexOutOfRange, "block index must be in 0..1, got -1"),
+    (lambda: partial_trace(np.eye(4) / 4, 2.0, 2.0), BadConfig, "d_a must be an integer, got 2.0"),
+    (lambda: partial_trace(np.eye(4) / 4, True, 4), BadConfig, "d_a must be an integer, got True"),
+    (lambda: dephasing_channel(np.eye(2), 2.0, 2.0), BadConfig,
+     "d_a must be an integer, got 2.0"),
+    (lambda: dephasing_channel(np.eye(2), 2, 0), BadConfig, "d_b must be >= 1, got 0"),
+    (lambda: haar_unitary(2.0, np.random.default_rng(0)), BadConfig,
+     "dim must be an integer, got 2.0"),
+    (lambda: haar_unitary(2, np.random.default_rng(0), 2.0), BadConfig,
+     "count must be an integer, got 2.0"),
+    (lambda: haar_unitary(2, np.random.default_rng(0), -1), BadConfig,
+     "count must be >= 0, got -1"),
+    (lambda: haar_unitary(0, np.random.default_rng(0)), BadConfig, "dim must be >= 1, got 0"),
+    (lambda: zero_conjugate_pair(COUNTEREXAMPLE_MATRIX, 0.5, 1), BadConfig,
+     "pair index must be an integer, got 0.5"),
+    (lambda: zeroing_report(COUNTEREXAMPLE_MATRIX, 0.5, 1), BadConfig,
+     "pair index must be an integer, got 0.5"),
+    (lambda: zero_conjugate_pair(COUNTEREXAMPLE_MATRIX, True, 0), BadConfig,
+     "pair index must be an integer, got True"),
+    (lambda: zero_conjugate_pair(COUNTEREXAMPLE_MATRIX, 0, 4), IndexOutOfRange,
+     "pair index must be in 0..3, got 4"),
+    (lambda: zeroing_report(COUNTEREXAMPLE_MATRIX, -1, 2), IndexOutOfRange,
+     "pair index must be in 0..3, got -1"),
+    (lambda: KrausMap(kraus_ops=[np.eye(2)], in_dim=2.0, out_dim=2.0), BadConfig,
+     "out_dim must be an integer, got 2.0"),
 ], ids=["bipartite-float-dims", "embed-float", "embed-smaller", "block-float", "block-past-end",
-        "block-negative"])
+        "block-negative", "partial_trace-float-dims", "partial_trace-bool-dim",
+        "dephasing_channel-float-dims", "dephasing_channel-zero-d_b", "haar-float-dim",
+        "haar-float-count", "haar-negative-count", "haar-zero-dim", "pair-float",
+        "report-float", "pair-bool", "pair-past-end", "report-negative", "kraus-float-dims"])
 def test_dimensions_and_indices_are_checked_integers(call, error, message):
     with pytest.raises(error) as exc:
         call()
@@ -370,9 +419,18 @@ _IDENTITY_PETZ = build_petz(_IDENTITY_CHANNEL, validate_density(np.eye(2) / 2))
     (lambda: apply_petz(_IDENTITY_PETZ, "ab"), "expected a numeric matrix, got str"),
     (lambda: apply_matrix(_IDENTITY_CHANNEL, [[1.0], [1.0, 0.0]]),
      "expected a numeric matrix, got list"),
+    (lambda: assemble_cq("ab", [1.0], [np.eye(1)]), "expected a numeric matrix, got str"),
+    (lambda: assemble_cq(np.eye(2), [0.5, 0.5], [np.eye(2) / 2, np.eye(3) / 3]),
+     "expected a numeric matrix, got list"),
+    (lambda: assemble_cq(np.eye(2), [0.5, 0.5], [np.eye(2) / 2, "ab"]),
+     "expected a numeric matrix, got str"),
+    (lambda: kron("ab", np.eye(2)), "expected a numeric matrix, got str"),
+    (lambda: kron(np.eye(2), [[1.0], [1.0, 0.0]]), "expected a numeric matrix, got list"),
 ], ids=["non-square", "vector", "nan", "inf", "non-numeric", "ragged", "bad-keep", "bad-norm",
         "unitary-non-numeric", "dephase-non-numeric", "exact-gap-non-numeric",
-        "apply-non-numeric", "isometry-non-numeric", "petz-non-numeric", "apply-ragged"])
+        "apply-non-numeric", "isometry-non-numeric", "petz-non-numeric", "apply-ragged",
+        "assemble-basis-non-numeric", "assemble-ragged-states", "assemble-state-non-numeric",
+        "kron-non-numeric", "kron-ragged"])
 def test_validation_error_names_the_problem(call, message):
     with pytest.raises(ValidationError) as exc:
         call()
